@@ -75,9 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fill = sub.add_parser("fill-edges", help="replay the edge-filling schedule to a target f1")
     fill.add_argument("--in", dest="infile", default=None)
-    fill.add_argument("--n", type=int, required=True)
-    fill.add_argument("--vertices", type=int, required=True, metavar="F0")
-    fill.add_argument("--variant", choices=["standard", "swapped"], required=True)
     fill.add_argument("--target-f1", type=int, required=True)
     fill.add_argument("-o", "--out")
 
@@ -124,12 +121,7 @@ def run(args: argparse.Namespace) -> int:
 
     if args.command == "fill-edges":
         c = _read_complex(args.infile)
-        if c.n != args.n or c.num_vertices != args.vertices:
-            raise ValueError(
-                f"input has n = {c.n}, {c.num_vertices} vertices; "
-                f"flags say n = {args.n}, {args.vertices} vertices"
-            )
-        schedule = moves.build_fill_schedule(c, args.n, args.vertices, args.variant)
+        schedule = moves.build_fill_schedule(c)
         _emit(moves.fill_to(c, schedule, args.target_f1), args.out)
         return 0
 

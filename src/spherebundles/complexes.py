@@ -6,16 +6,17 @@ are *not* required to be contiguous, which lets quotient and identification
 maps compose without relabelling.  Every operation here is a pure function;
 complexes are safe to share read-only between concurrent tasks.
 
-Face enumeration works by expanding all subsets of each facet into a
-deduplicating set.  That is quadratic-exponential in principle but complexes
-at the scale handled here (facet size <= 9, a few hundred facets) stay tiny.
+Faces are enumerated one dimension at a time, on first use, by expanding the
+(d+1)-subsets of every facet into a frozenset; a caller that needs only the
+edges never pays for the other dimensions.  Ridges carry one more index,
+from each ridge to the facets that contain it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .errors import (
@@ -34,11 +35,11 @@ class Complex:
     ``n`` is the facet cardinality, so the complex has dimension ``n - 1``.
     Duplicate facets in the input are merged silently: quotient
     constructions naturally produce coincident facets that must collapse to
-    one.  Instances are immutable; derived data (faces, adjacency) is cached
-    lazily.
+    one.  Instances are immutable; derived data (faces, ridges, adjacency)
+    is cached lazily.
     """
 
-    __slots__ = ("_facets", "_n", "_vertices", "_faces", "_adjacency")
+    __slots__ = ("_facets", "_n", "_vertices", "_faces", "_ridges", "_adjacency")
 
     def __init__(self, facets):
         canon = sorted({tuple(sorted(f)) for f in facets})
@@ -54,7 +55,8 @@ class Complex:
         self._facets = tuple(canon)
         self._n = len(canon[0]) if canon else 0
         self._vertices = frozenset(v for f in canon for v in f)
-        self._faces = None
+        self._faces = [None] * self._n  # one face index per dimension
+        self._ridges = None
         self._adjacency = None
 
     @property
@@ -82,30 +84,47 @@ class Complex:
     def is_empty(self) -> bool:
         return not self._facets
 
-    def faces(self) -> frozenset[tuple[int, ...]]:
-        """All nonempty faces, as sorted tuples (the empty face is implicit)."""
-        if self._faces is None:
-            out = set()
-            for f in self._facets:
-                for k in range(1, len(f) + 1):
-                    out.update(combinations(f, k))
-            self._faces = frozenset(out)
-        return self._faces
+    def faces(self, d: int) -> frozenset[tuple[int, ...]]:
+        """The d-faces, as sorted tuples of d+1 vertices; empty outside
+        0 <= d < n.  Built on first use and cached."""
+        if not 0 <= d < self._n:
+            return frozenset()
+        found = self._faces[d]
+        if found is None:
+            found = self._faces[d] = frozenset(
+                chain.from_iterable(combinations(F, d + 1) for F in self._facets)
+            )
+        return found
+
+    def ridges(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+        """Each ridge mapped to its (facet index, position of the dropped vertex)
+        pairs, in facet order.  Ridges appear in the order of
+        ``combinations(F, n - 1)`` over the facets F, so the first ridge that
+        breaks a check is the same whichever check walks the index.
+
+        Built on first use and cached; callers must not modify it.
+        """
+        if self._ridges is None:
+            index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+            for idx, F in enumerate(self._facets):
+                for pos in range(len(F) - 1, -1, -1):
+                    index.setdefault(F[:pos] + F[pos + 1 :], []).append((idx, pos))
+            self._ridges = index
+        return self._ridges
 
     def has_face(self, face) -> bool:
         t = tuple(sorted(face))
-        return bool(t) and t in self.faces()
+        return t in self.faces(len(t) - 1)
 
-    def edges(self) -> set[tuple[int, int]]:
-        return {f for f in self.faces() if len(f) == 2}
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return self.faces(1)
 
     def adjacency(self) -> dict[int, set[int]]:
         if self._adjacency is None:
             adj: dict[int, set[int]] = {v: set() for v in self._vertices}
-            for f in self._facets:
-                for a, b in combinations(f, 2):
-                    adj[a].add(b)
-                    adj[b].add(a)
+            for a, b in self.faces(1):
+                adj[a].add(b)
+                adj[b].add(a)
             self._adjacency = adj
         return self._adjacency
 
@@ -210,11 +229,8 @@ def from_facets(facet_list) -> Complex:
 
 
 def f_vector(c: Complex) -> FVector:
-    """Count faces per dimension by subset enumeration with deduplication."""
-    counts = [0] * c.n
-    for face in c.faces():
-        counts[len(face) - 1] += 1
-    return FVector((1, *counts))
+    """Face counts read from the per-dimension face index."""
+    return FVector((1, *(len(c.faces(d)) for d in range(c.n))))
 
 
 def h_from_f(f: FVector, n: int) -> HVector:
@@ -288,23 +304,13 @@ def link(c: Complex, face) -> Complex:
     return Complex(out)
 
 
-def star_facets(c: Complex, face) -> tuple[tuple[int, ...], ...]:
-    """Facets containing ``face``."""
-    fs = set(face)
-    return tuple(F for F in c.facets if fs.issubset(F))
-
-
 def induced_subcomplex(c: Complex, vertex_set) -> list[tuple[int, ...]]:
-    """All faces of c contained in ``vertex_set``, sorted lexicographically."""
+    """All faces of c contained in ``vertex_set``, by size, then lexicographically."""
     s = set(vertex_set)
     if not s.issubset(c.vertices):
         raise NotAFace(f"{sorted(s - c.vertices)} are not vertices")
-    out = set()
-    for F in c.facets:
-        inter = tuple(v for v in F if v in s)
-        for k in range(1, len(inter) + 1):
-            out.update(combinations(inter, k))
-    return sorted(out, key=lambda f: (len(f), f))
+    inside = (f for d in range(min(c.n, len(s))) for f in c.faces(d) if s.issuperset(f))
+    return sorted(inside, key=lambda f: (len(f), f))
 
 
 def graph_distance(c: Complex, u: int, v: int) -> int:
@@ -349,11 +355,8 @@ def is_pseudomanifold(c: Complex) -> PseudomanifoldReport:
         return PseudomanifoldReport(False, False, False, "empty complex")
     # purity holds by construction (uniform facet cardinality); every vertex
     # lies in a facet by construction as well
-    ridge_to_facets: dict[tuple[int, ...], list[int]] = {}
-    for idx, F in enumerate(c.facets):
-        for ridge in combinations(F, c.n - 1):
-            ridge_to_facets.setdefault(ridge, []).append(idx)
-    for ridge, incident in ridge_to_facets.items():
+    ridges = c.ridges()
+    for ridge, incident in ridges.items():
         if len(incident) != 2:
             return PseudomanifoldReport(
                 True, False, False,
@@ -363,7 +366,7 @@ def is_pseudomanifold(c: Complex) -> PseudomanifoldReport:
     seen = {0}
     queue = deque([0])
     neighbors: dict[int, set[int]] = {i: set() for i in range(len(c.facets))}
-    for a, b in ridge_to_facets.values():
+    for (a, _), (b, _) in ridges.values():
         neighbors[a].add(b)
         neighbors[b].add(a)
     while queue:

@@ -42,6 +42,10 @@ class Disconnected(SphereBundleError):
     pass
 
 
+class DimensionTooLow(SphereBundleError):
+    pass
+
+
 # -- subdivision and stacked spheres ----------------------------------------
 
 class NotAFacet(SphereBundleError):
@@ -79,6 +83,12 @@ class AlreadyOrientable(SphereBundleError):
 
 
 class NotPseudomanifold(SphereBundleError):
+    pass
+
+
+# -- isomorphism ---------------------------------------------------------------
+
+class InvalidWitness(SphereBundleError):
     pass
 
 

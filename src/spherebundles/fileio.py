@@ -18,7 +18,6 @@ from .complexes import (
     f_vector,
     g_vector,
     h_from_f,
-    is_pseudomanifold,
     klee_residual,
 )
 from .errors import EmptyInput, MixedCardinality, ParseError
@@ -37,10 +36,9 @@ def parse(text: str) -> Complex:
             continue
         labels = []
         for tok in line.split():
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(f"line {lineno}: {tok!r} is not an integer") from None
+            if not (tok.isascii() and tok.isdigit()):
+                raise ParseError(f"line {lineno}: {tok!r} is not a positive integer")
+            v = int(tok)
             if v < 1:
                 raise ParseError(f"line {lineno}: label {v} is not positive")
             labels.append(v)
@@ -139,9 +137,9 @@ def analyze(c: Complex, warnings: tuple[str, ...] = ()) -> AnalysisReport:
     h = h_from_f(f, n)
     g = g_vector(h)
     residual = tuple(klee_residual(c))
-    pm = is_pseudomanifold(c)
-    orientable = verify.orientability(c) if pm.ok else None
     evidence = verify.manifold_evidence(c)
+    pm = evidence.pseudomanifold
+    orientable = verify.orientability(c) if pm.ok else None
     g2 = f.f(1) - n * f.f(0) + comb(n + 1, 2)
     return AnalysisReport(
         n=n,

@@ -116,11 +116,12 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
 
     relabel = {w: u for u, w in pairing.pairs}
     image_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for face in sphere.faces():
-        img = tuple(sorted(relabel.get(v, v) for v in face))
-        if len(set(img)) != len(face):
-            raise NonSimplicialQuotient(f"face {face} degenerates to {img}")
-        image_of[face] = img
+    for d in range(n):
+        for face in sphere.faces(d):
+            img = tuple(sorted(relabel.get(v, v) for v in face))
+            if len(set(img)) != len(face):
+                raise NonSimplicialQuotient(f"face {face} degenerates to {img}")
+            image_of[face] = img
     preimages: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for face, img in image_of.items():
         preimages.setdefault(img, []).append(face)
@@ -144,7 +145,7 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
         raise NonSimplicialQuotient("vertex count did not drop by n")
     if len(result.facets) != len(sphere.facets) - 2:
         raise NonSimplicialQuotient("facet count did not drop by 2")
-    if len(result.edges()) != len(sphere.edges()) - comb(n, 2):
+    if len(result.faces(1)) != len(sphere.faces(1)) - comb(n, 2):
         raise NonSimplicialQuotient("edge count did not drop by C(n, 2)")
     pm = is_pseudomanifold(result)
     if not pm.ok:

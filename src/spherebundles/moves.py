@@ -42,9 +42,7 @@ class MoveSpec:
 class FillSchedule:
     """Ordered moves adding one edge each; prefix t yields f1 = n*f0 + t."""
 
-    variant: str
     moves: tuple[MoveSpec, ...]
-    groups: tuple[int, ...]  # cyclic-gap group index per move
 
     def __len__(self):
         return len(self.moves)
@@ -65,7 +63,7 @@ def is_flippable(c: Complex, mv: MoveSpec) -> bool:
     if not set(mv.a) | set(mv.b) <= c.vertices:
         return False
     a1, a2 = mv.a
-    if mv.a in c.faces():
+    if mv.a in c.faces(1):
         return False
     cone1 = tuple(sorted((a1,) + mv.b))
     cone2 = tuple(sorted((a2,) + mv.b))
@@ -83,8 +81,10 @@ def apply_move(c: Complex, mv: MoveSpec) -> Complex:
         out.append(tuple(sorted(set(mv.a) | (set(mv.b) - {b}))))
     result = Complex(out)
     # the move must add exactly the edge A and keep the vertex set
-    assert result.vertices == c.vertices
-    assert len(result.edges()) == len(c.edges()) + 1
+    if result.vertices != c.vertices:
+        raise NotFlippable(f"{mv.to_text()} changed the vertex set")
+    if len(result.faces(1)) != len(c.faces(1)) + 1:
+        raise NotFlippable(f"{mv.to_text()} did not add exactly one edge")
     return result
 
 
@@ -92,7 +92,7 @@ def _norm(x: int, f0: int) -> int:
     return (x - 1) % f0 + 1
 
 
-def build_fill_schedule(c: Complex, n: int, f0: int, variant: str) -> FillSchedule:
+def build_fill_schedule(c: Complex) -> FillSchedule:
     """Edge-filling schedule for an identified stacked sphere on f0 vertices.
 
     Non-edges {i, j} (cyclic distance > n) are grouped by increasing gap
@@ -101,15 +101,15 @@ def build_fill_schedule(c: Complex, n: int, f0: int, variant: str) -> FillSchedu
     is already an edge of the input are skipped, which handles the swapped
     identification; if {n-1, f0-1} is a non-edge (again the swapped case) an
     exceptional final move with B = {f0, 1, 3, ..., n-2, n} is appended.
+    The facet size n and the vertex count f0 are read from ``c``, whose
+    labels must be 1..f0.
     """
-    if variant not in ("standard", "swapped"):
-        raise ValueError("variant must be 'standard' or 'swapped'")
+    n, f0 = c.n, c.num_vertices
     if n < 4:
         # at n = 3 this move type can delete a vertex, so surfaces are out
         raise ValueError("edge filling needs n >= 4")
-    edges = c.edges()
+    edges = c.faces(1)
     moves = []
-    groups = []
     for g in range(1, f0 - 2 * n):
         for i in range(1, f0 - n - g + 1):
             j = i + n + g
@@ -119,24 +119,22 @@ def build_fill_schedule(c: Complex, n: int, f0: int, variant: str) -> FillSchedu
             b = [_norm(i + 1, f0), _norm(i + 2, f0)]
             b += [_norm(j - n + 3 + t, f0) for t in range(n - 3)]
             moves.append(MoveSpec(a, tuple(b)))
-            groups.append(g)
     leftover = tuple(sorted((n - 1, f0 - 1)))
     if leftover not in edges:
         b = [f0, 1] + list(range(3, n - 1)) + [n]
         moves.append(MoveSpec(leftover, tuple(b)))
-        groups.append(f0 - 2 * n - 1)
     expected = comb(f0, 2) - len(edges)
     if len(moves) != expected:
         raise ScheduleInvalid(
             f"schedule has {len(moves)} moves but {expected} edges are missing"
         )
-    return FillSchedule(variant, tuple(moves), tuple(groups))
+    return FillSchedule(tuple(moves))
 
 
 def fill_to(c: Complex, schedule: FillSchedule, target_f1: int) -> Complex:
     """Replay the schedule prefix that brings the edge count to ``target_f1``."""
     f0 = c.num_vertices
-    f1 = len(c.edges())
+    f1 = len(c.faces(1))
     if not f1 <= target_f1 <= comb(f0, 2):
         raise TargetOutOfRange(
             f"target f1 = {target_f1} outside [{f1}, {comb(f0, 2)}]"

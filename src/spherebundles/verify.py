@@ -10,10 +10,7 @@ row representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
-
-import numpy as np
 
 from .complexes import (
     Complex,
@@ -22,54 +19,30 @@ from .complexes import (
     is_pseudomanifold,
     link,
 )
-from .errors import NotPseudomanifold
+from .errors import DimensionTooLow, InvalidWitness, NotPseudomanifold
 
 
 # ---------------------------------------------------------------------------
 # boundary matrices and Betti numbers
 # ---------------------------------------------------------------------------
 
-def faces_of_dimension(c: Complex, d: int) -> list[tuple[int, ...]]:
-    """Sorted list of d-faces (vertex tuples of length d+1)."""
-    return sorted(f for f in c.faces() if len(f) == d + 1)
+def boundary_matrix(c: Complex, d: int) -> list[dict[int, int]]:
+    """Columns of the boundary operator from d-faces to (d-1)-faces.
 
-
-def boundary_matrix(c: Complex, d: int) -> np.ndarray:
-    """Matrix of the boundary operator from d-faces to (d-1)-faces.
-
-    Rows are indexed by the sorted list of (d-1)-faces, columns by the
-    sorted list of d-faces; signs follow the sorted-vertex orientation, so
-    column F has entry (-1)^i in the row of F with its i-th vertex removed.
-    For d = 0 the operator is zero (unreduced chain complex) and the matrix
-    has zero rows.
+    Column j, for the j-th d-face F in sorted order, is a sparse
+    {row: value} dict over the sorted (d-1)-faces: the face F with its i-th
+    vertex removed gets (-1)^i (the sorted-vertex orientation).  For d = 0
+    the operator is zero (unreduced chain complex) and every column is empty.
     """
     if not 0 <= d <= c.n - 1:
         raise ValueError(f"d must be between 0 and {c.n - 1}")
-    cols = faces_of_dimension(c, d)
     if d == 0:
-        return np.zeros((0, len(cols)), dtype=np.int64)
-    rows = faces_of_dimension(c, d - 1)
-    row_index = {f: i for i, f in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, F in enumerate(cols):
-        for i in range(len(F)):
-            sub = F[:i] + F[i + 1 :]
-            mat[row_index[sub], j] = (-1) ** i
-    return mat
-
-
-def _sparse_boundary(c: Complex, d: int) -> list[dict[int, int]]:
-    """Columns of the d-th boundary matrix as sparse {row: value} dicts."""
-    rows = faces_of_dimension(c, d - 1)
-    row_index = {f: i for i, f in enumerate(rows)}
-    out = []
-    for F in faces_of_dimension(c, d):
-        col = {}
-        for i in range(len(F)):
-            sub = F[:i] + F[i + 1 :]
-            col[row_index[sub]] = (-1) ** i
-        out.append(col)
-    return out
+        return [{} for _ in c.faces(0)]
+    rows = {f: i for i, f in enumerate(sorted(c.faces(d - 1)))}
+    return [
+        {rows[F[:i] + F[i + 1 :]]: (-1) ** i for i in range(d + 1)}
+        for F in sorted(c.faces(d))
+    ]
 
 
 def _normalise(row: dict[int, int]) -> dict[int, int]:
@@ -146,11 +119,10 @@ def exact_rank(sparse_rows: list[dict[int, int]]) -> int:
 def betti_numbers(c: Complex) -> tuple[int, ...]:
     """Rational Betti numbers (beta_0, ..., beta_{n-1}), unreduced."""
     n = c.n
-    counts = [len(faces_of_dimension(c, d)) for d in range(n)]
     ranks = [0] * (n + 1)  # rank of boundary_d; d = 0 and d = n are zero maps
     for d in range(1, n):
-        ranks[d] = exact_rank(_sparse_boundary(c, d))
-    return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(n))
+        ranks[d] = exact_rank(boundary_matrix(c, d))
+    return tuple(len(c.faces(d)) - ranks[d] - ranks[d + 1] for d in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +137,8 @@ def facet_adjacency_signs(c: Complex):
     the shared ridge), -1 when one must flip.  Raises NotPseudomanifold if
     some ridge does not lie in exactly two facets.
     """
-    ridge_map: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for idx, F in enumerate(c.facets):
-        for pos in range(len(F)):
-            ridge = F[:pos] + F[pos + 1 :]
-            ridge_map.setdefault(ridge, []).append((idx, pos))
     out = []
-    for ridge, incident in ridge_map.items():
+    for ridge, incident in c.ridges().items():
         if len(incident) != 2:
             raise NotPseudomanifold(f"ridge {ridge} lies in {len(incident)} facets")
         (i, pi), (j, pj) = incident
@@ -230,7 +197,7 @@ class ManifoldEvidence:
 
 
 def _sphere_betti(dim: int) -> tuple[int, ...]:
-    # unreduced Betti vector of a (dim)-sphere, dim >= 1
+    # unreduced Betti vector of a (dim)-sphere, dim >= 0
     b = [0] * (dim + 1)
     b[0] = 1
     b[dim] += 1
@@ -244,6 +211,8 @@ def manifold_evidence(c: Complex) -> ManifoldEvidence:
     dimension n-2 and an orientability check.  Passing is evidence of
     manifoldness only; full sphere recognition is out of reach.
     """
+    if c.n < 2:
+        raise DimensionTooLow(f"vertex links need n >= 2, got n = {c.n}")
     pm = is_pseudomanifold(c)
     expected = _sphere_betti(c.n - 2)
     checks = []
@@ -305,8 +274,7 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
 
     adj_a = a.adjacency()
     adj_b = b.adjacency()
-    b_faces = {frozenset(f) for f in b.faces()}
-    b_facets = {frozenset(f) for f in b.facets}
+    b_faces = [b.faces(d) for d in range(b.n)]
     star_a: dict[int, list[tuple[int, ...]]] = {v: [] for v in a.vertices}
     for F in a.facets:
         for v in F:
@@ -337,12 +305,10 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
             if (u in adj_a[v]) != (w in adj_b[x]):
                 return False
         for F in star_a[v]:
-            img = {mapping[u] for u in F if u in mapping}
-            img.add(w)
-            if len(img) == len(F):
-                if frozenset(img) not in b_facets:
-                    return False
-            elif frozenset(img) not in b_faces:
+            img = [mapping[u] for u in F if u in mapping]
+            img.append(w)
+            img.sort()
+            if tuple(img) not in b_faces[len(img) - 1]:
                 return False
         return True
 
@@ -364,5 +330,6 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
     if not extend(0):
         return None
     image = {tuple(sorted(mapping[v] for v in F)) for F in a.facets}
-    assert image == set(b.facets), "isomorphism witness failed verification"
+    if image != set(b.facets):
+        raise InvalidWitness(f"mapping {mapping} does not carry facets onto facets")
     return IsoWitness(dict(mapping))

@@ -27,7 +27,7 @@ def _replay(f0: int, variant: str) -> list[tuple[int, sb.Complex]]:
     key = (f0, variant)
     if key not in _REPLAYS:
         c = sb.build_iss_variant(5, f0, variant)
-        sched = sb.build_fill_schedule(c, 5, f0, variant)
+        sched = sb.build_fill_schedule(c)
         states = [(len(c.edges()), c)]
         for mv in sched.moves:
             c = sb.apply_move(c, mv)
@@ -160,8 +160,7 @@ def test_criterion_07_g_vector_corners():
     nonor = sb.build_iss(5, 12, BundleType.NONORIENTABLE)
     g_min = sb.g_vector(sb.h_from_f(sb.f_vector(nonor), 5))
     assert tuple(g_min) == (1, 6, 15)
-    variant = "standard" if sb.orientability(sb.build_iss_variant(5, 12, "standard")) is False else "swapped"
-    full = sb.fill_to(nonor, sb.build_fill_schedule(nonor, 5, 12, variant), comb(12, 2))
+    full = sb.fill_to(nonor, sb.build_fill_schedule(nonor), comb(12, 2))
     g_max = sb.g_vector(sb.h_from_f(sb.f_vector(full), 5))
     assert tuple(g_max) == (1, 6, 21)
     assert g_max.g2 == comb(g_max[1] + 1, 2)

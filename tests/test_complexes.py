@@ -77,6 +77,47 @@ def test_f_vector_two_enumeration_routes_agree():
         assert tuple(sb.f_vector(c)) == _f_vector_by_combinations(c)
 
 
+def _all_subsets_by_size(c):
+    # oracle: every nonempty vertex subset of every facet, by bit mask
+    by_size = {}
+    for F in c.facets:
+        for mask in range(1, 2 ** len(F)):
+            face = tuple(v for i, v in enumerate(F) if mask >> i & 1)
+            by_size.setdefault(len(face), set()).add(face)
+    return by_size
+
+
+def _index_oracle_cases():
+    for seed in range(6):
+        yield sb.random_stacked_sphere(3 + seed % 4, 4 + seed, seed)[0]
+    for n in (4, 5, 6):
+        yield sb.build_miss(n)
+    iss = sb.build_iss_variant(5, 12, "standard")
+    yield sb.fill_to(iss, sb.build_fill_schedule(iss), comb(12, 2))
+
+
+def test_face_index_against_all_subsets_oracle():
+    for c in _index_oracle_cases():
+        by_size = _all_subsets_by_size(c)
+        for d in range(c.n):
+            assert c.faces(d) == by_size[d + 1]
+        assert not c.faces(-1) and not c.faces(c.n)
+        assert tuple(sb.f_vector(c)) == (1, *(len(by_size[k]) for k in range(1, c.n + 1)))
+        assert c.edges() == by_size[2]
+        assert all(c.has_face(f) for f in by_size[c.n - 1])
+        assert not c.has_face(()) and not c.has_face(tuple(sorted(c.vertices)))
+
+
+def test_ridge_index_against_facet_scan():
+    for c in _index_oracle_cases():
+        ridges = c.ridges()
+        assert set(ridges) == _all_subsets_by_size(c)[c.n - 1]
+        for ridge, incident in ridges.items():
+            expected = [(i, F.index(next(v for v in F if v not in ridge)))
+                        for i, F in enumerate(c.facets) if set(ridge) <= set(F)]
+            assert incident == expected
+
+
 def test_f_vector_miss4_forced_by_linear_relations():
     # oracle: with f0 = 9 and f1 = 36, Euler characteristic 0 and the
     # ridge-facet double count 2 f2 = 4 f3 force f3 = 27, f2 = 54

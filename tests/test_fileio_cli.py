@@ -1,7 +1,12 @@
 """Facet-list format round-trips, analysis reports, and the CLI surface."""
 
+import ast
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +30,14 @@ def test_parse_reports_line_numbers():
         fileio.parse("1 2 2\n")
     with pytest.raises(ParseError, match="not positive"):
         fileio.parse("0 1 2\n")
+
+
+def test_parse_accepts_ascii_digits_only():
+    # int() would read these as 10, 4 and 1
+    for lineno, tok in ((1, "1_0"), (2, "+4"), (3, "\u0661")):
+        lines = ["2 3 5"] * (lineno - 1) + [f"{tok} 2 3"]
+        with pytest.raises(ParseError, match=f"line {lineno}: "):
+            fileio.parse("\n".join(lines) + "\n")
 
 
 def test_parse_header_only_is_empty():
@@ -96,8 +109,7 @@ def test_cli_build_iss_and_fill(tmp_path, capsys):
                      "--bundle", "nonorientable", "-o", str(iss_path)]) == 0
     capsys.readouterr()
     out_path = tmp_path / "filled.fl"
-    assert cli.main(["fill-edges", "--in", str(iss_path), "--n", "5",
-                     "--vertices", "12", "--variant", "swapped",
+    assert cli.main(["fill-edges", "--in", str(iss_path),
                      "--target-f1", "66", "-o", str(out_path)]) == 0
     filled = fileio.parse(out_path.read_text(encoding="utf-8"))
     assert len(filled.edges()) == 66
@@ -146,6 +158,32 @@ def test_cli_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["build", "iss", "--n", "5"])
     assert exc.value.code == 2
+
+
+def test_cli_analyze_zero_dimensional_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
+    assert cli.main(["analyze"]) == 1
+    assert capsys.readouterr().err.startswith("DimensionTooLow: ")
+
+
+def test_cli_analyze_reports_first_bad_ridge(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3\n"))
+    assert cli.main(["analyze", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["pseudomanifold_detail"] == "ridge (1, 2) lies in 1 facets"
+    assert data["orientable"] is None
+
+
+def test_import_loads_only_the_standard_library():
+    src = str(Path(sb.__file__).resolve().parents[1])
+    code = (
+        "import sys; before = set(sys.modules); import spherebundles; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(ast.literal_eval(out))
+    assert loaded - set(sys.stdlib_module_names) == {"spherebundles"}
 
 
 def test_cli_parse_error_exits_one(tmp_path, capsys):

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 import spherebundles as sb
-from spherebundles import BundleType, MoveSpec
+from spherebundles import BundleType, MoveSpec, moves
 from spherebundles.errors import NotFlippable, ScheduleInvalid, TargetOutOfRange
 
 
@@ -90,17 +90,27 @@ def test_apply_move_rejects_unflippable(iss_std):
         sb.apply_move(iss_std, MoveSpec((1, 2), (3, 4, 6, 7)))
 
 
+def test_apply_move_checks_its_result(iss_std, monkeypatch):
+    # with the flippability test switched off, repeating a move adds no edge;
+    # the edge-count check must still catch it (and stays under python -O)
+    mv = MoveSpec((1, 7), (2, 3, 5, 6))
+    once = sb.apply_move(iss_std, mv)
+    monkeypatch.setattr(moves, "is_flippable", lambda c, mv: True)
+    with pytest.raises(NotFlippable, match="did not add exactly one edge"):
+        sb.apply_move(once, mv)
+
+
 # -- schedules ------------------------------------------------------------------
 
 def test_schedule_standard_shape(iss_std):
-    sched = sb.build_fill_schedule(iss_std, 5, 12, "standard")
+    sched = sb.build_fill_schedule(iss_std)
     assert len(sched) == comb(12, 2) - 60 == 6
     assert sched.moves[0].a == (1, 7) and sched.moves[0].b == (2, 3, 5, 6)
     assert sched.moves[1].a == (2, 8) and sched.moves[1].b == (3, 4, 6, 7)
 
 
 def test_schedule_swapped_exceptional_move(iss_sw):
-    sched = sb.build_fill_schedule(iss_sw, 5, 12, "swapped")
+    sched = sb.build_fill_schedule(iss_sw)
     assert len(sched) == 6
     last = sched.moves[-1]
     assert last.a == (4, 11)
@@ -110,14 +120,14 @@ def test_schedule_swapped_exceptional_move(iss_sw):
 
 
 def test_schedule_serialization(iss_std):
-    sched = sb.build_fill_schedule(iss_std, 5, 12, "standard")
+    sched = sb.build_fill_schedule(iss_std)
     lines = sched.to_text().splitlines()
     assert lines[0] == "A: 1 7 | B: 2 3 5 6"
     assert len(lines) == 6
 
 
 def test_fill_to_identity_and_complete(iss_std):
-    sched = sb.build_fill_schedule(iss_std, 5, 12, "standard")
+    sched = sb.build_fill_schedule(iss_std)
     assert sb.fill_to(iss_std, sched, 60) == iss_std
     full = sb.fill_to(iss_std, sched, comb(12, 2))
     assert len(full.edges()) == comb(12, 2)
@@ -125,7 +135,7 @@ def test_fill_to_identity_and_complete(iss_std):
 
 
 def test_fill_to_range_errors(iss_std):
-    sched = sb.build_fill_schedule(iss_std, 5, 12, "standard")
+    sched = sb.build_fill_schedule(iss_std)
     with pytest.raises(TargetOutOfRange):
         sb.fill_to(iss_std, sched, 59)
     with pytest.raises(TargetOutOfRange):
@@ -133,7 +143,7 @@ def test_fill_to_range_errors(iss_std):
 
 
 def test_fill_intermediates_keep_invariants(iss_std):
-    sched = sb.build_fill_schedule(iss_std, 5, 12, "standard")
+    sched = sb.build_fill_schedule(iss_std)
     betti = sb.betti_numbers(iss_std)
     c = iss_std
     for t in range(1, len(sched) + 1):
@@ -147,7 +157,7 @@ def test_fill_intermediates_keep_invariants(iss_std):
 def test_mismatched_schedule_raises_schedule_invalid(iss_std, iss_sw):
     # replaying the standard schedule on the swapped complex must fail the
     # self-verification: {5, 11} is already an edge there
-    sched = sb.build_fill_schedule(iss_std, 5, 12, "standard")
+    sched = sb.build_fill_schedule(iss_std)
     with pytest.raises(ScheduleInvalid):
         sb.fill_to(iss_sw, sched, comb(12, 2))
 
@@ -171,4 +181,4 @@ def test_feasible_region_requires_k_at_least_two():
 def test_schedule_excludes_surfaces():
     torus = sb.build_miss(3)
     with pytest.raises(ValueError):
-        sb.build_fill_schedule(torus, 3, 7, "standard")
+        sb.build_fill_schedule(torus)

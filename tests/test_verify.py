@@ -3,43 +3,63 @@
 import random
 from math import comb
 
-import numpy as np
 import pytest
 import sympy
 
 import spherebundles as sb
 from spherebundles import BundleType
-from spherebundles.errors import NotPseudomanifold
-from spherebundles.verify import exact_rank, faces_of_dimension
+from spherebundles.errors import DimensionTooLow, NotPseudomanifold
+from spherebundles.verify import exact_rank, facet_adjacency_signs
+
+
+def _dense(columns, num_rows):
+    """Row-major dense matrix of sparse {row: value} columns."""
+    return [[col.get(i, 0) for col in columns] for i in range(num_rows)]
 
 
 def test_boundary_matrix_single_edge():
     c = sb.Complex([(1, 2)])
-    mat = sb.boundary_matrix(c, 1)
-    assert mat.tolist() == [[-1], [1]]
+    assert sb.boundary_matrix(c, 1) == [{0: -1, 1: 1}]
 
 
 def test_boundary_matrix_zero_in_dimension_zero():
     c = sb.boundary_of_simplex(4)
-    mat = sb.boundary_matrix(c, 0)
-    assert mat.shape == (0, 5)
+    assert sb.boundary_matrix(c, 0) == [{}] * 5
+
+
+def test_boundary_matrix_rows_columns_and_signs():
+    # rows: the sorted (d-1)-faces, columns: the sorted d-faces, (-1)^i signs
+    c = sb.boundary_of_simplex(3)
+    rows = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    cols = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    expected = [
+        {rows.index(F[:i] + F[i + 1:]): (-1) ** i for i in range(3)} for F in cols
+    ]
+    assert sb.boundary_matrix(c, 2) == expected
+    with pytest.raises(ValueError):
+        sb.boundary_matrix(c, 3)
 
 
 def test_boundary_squared_is_zero_on_miss4():
+    # the composite boundary_d . boundary_{d+1}, column by column on the
+    # sparse columns: sum_r v_r * (column r of boundary_d) must vanish
     m4 = sb.build_miss(4)
-    for d in range(1, 4):
+    for d in range(1, 3):
         a = sb.boundary_matrix(m4, d)
-        b = sb.boundary_matrix(m4, d + 1) if d + 1 <= 3 else None
-        if b is not None:
-            assert not np.any(a @ b)
+        b = sb.boundary_matrix(m4, d + 1)
+        assert all(len(col) == d + 2 for col in b)
+        for col in b:
+            total: dict[int, int] = {}
+            for r, v in col.items():
+                for s, w in a[r].items():
+                    total[s] = total.get(s, 0) + v * w
+            assert not any(total.values())
 
 
 def test_rank_of_tree_boundary():
     # a path on 6 vertices: rank of the edge boundary equals the edge count
     c = sb.Complex([(i, i + 1) for i in range(1, 6)])
-    rows = [dict(enumerate(col)) for col in sb.boundary_matrix(c, 1).T.tolist()]
-    rows = [{k: v for k, v in r.items() if v} for r in rows]
-    assert exact_rank(rows) == 5
+    assert exact_rank(sb.boundary_matrix(c, 1)) == 5
 
 
 def test_exact_rank_against_sympy_oracle():
@@ -64,12 +84,15 @@ def test_betti_bundles():
 
 
 def test_betti_against_sympy_rank_oracle():
+    # dense sympy matrices built from the sparse columns; the column count of
+    # boundary_d is the number of d-faces
     for c in (sb.build_miss(4), sb.kuhnel_complex(3)):
         n = c.n
-        counts = [len(faces_of_dimension(c, d)) for d in range(n)]
+        mats = [sb.boundary_matrix(c, d) for d in range(n)]
+        counts = [len(m) for m in mats]
         ranks = [0] * (n + 1)
         for d in range(1, n):
-            ranks[d] = sympy.Matrix(sb.boundary_matrix(c, d).tolist()).rank()
+            ranks[d] = sympy.Matrix(_dense(mats[d], counts[d - 1])).rank()
         expected = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(n))
         assert sb.betti_numbers(c) == expected
 
@@ -96,6 +119,14 @@ def test_orientability_requires_pseudomanifold():
         sb.orientability(c)
 
 
+def test_first_bad_ridge_is_the_same_for_every_reader():
+    # (1, 2) comes first in combinations((1, 2, 3), 2) order
+    c = sb.Complex([(1, 2, 3)])
+    assert sb.is_pseudomanifold(c).detail == "ridge (1, 2) lies in 1 facets"
+    with pytest.raises(NotPseudomanifold, match=r"^ridge \(1, 2\) lies in 1 facets$"):
+        facet_adjacency_signs(c)
+
+
 def test_top_betti_matches_orientability():
     # beta_{n-1} = 1 iff orientable, for connected pseudomanifolds
     for c in (sb.build_miss(4), sb.build_miss(5), sb.boundary_of_simplex(5),
@@ -113,6 +144,11 @@ def test_manifold_evidence_passes_on_bundles():
         ev = sb.manifold_evidence(sb.build_miss(n))
         assert ev.ok
     assert sb.manifold_evidence(sb.boundary_of_simplex(4)).ok
+
+
+def test_manifold_evidence_needs_edges():
+    with pytest.raises(DimensionTooLow):
+        sb.manifold_evidence(sb.Complex([(1,), (2,)]))
 
 
 def test_manifold_evidence_detects_pinched_vertex():
