@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings as _warnings
+import warnings
 
 from . import fileio, moves, verify
 from .complexes import Complex
@@ -41,10 +41,6 @@ def _emit(c: Complex, out: str | None) -> None:
 
 def _bundle(value: str) -> BundleType:
     return BundleType(value)
-
-
-def _capture_warnings():
-    return _warnings.catch_warnings(record=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,23 +96,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     if args.command == "build":
-        if args.what == "stacked":
-            c, _ = build_delta(args.n, args.steps)
-            _emit(c, args.out)
-        elif args.what == "miss":
-            with _capture_warnings() as caught:
-                _warnings.simplefilter("always")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if args.what == "stacked":
+                c, _ = build_delta(args.n, args.steps)
+            elif args.what == "miss":
                 c = build_miss(args.n)
-            for w in caught:
-                print(f"note: {w.message}", file=sys.stderr)
-            _emit(c, args.out)
-        else:
-            with _capture_warnings() as caught:
-                _warnings.simplefilter("always")
+            else:
                 c = build_iss(args.n, args.vertices, _bundle(args.bundle))
-            for w in caught:
-                print(f"note: {w.message}", file=sys.stderr)
-            _emit(c, args.out)
+        for w in caught:
+            print(f"note: {w.message}", file=sys.stderr)
+        _emit(c, args.out)
         return 0
 
     if args.command == "fill-edges":
@@ -166,10 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except (SphereBundleError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SphereBundleError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,6 @@ from .errors import (
     InfeasibleVertexCount,
     NonSimplicialQuotient,
     NotAFacet,
-    NotPseudomanifold,
     NotTwoStacks,
     PairingNotOnTops,
 )
@@ -306,9 +305,6 @@ def orientation_double_cover(c: Complex) -> Complex:
     sheets otherwise.  Face counts double and the cover is orientable.
     Copies of vertex v are labelled v and v + max_label.
     """
-    pm = is_pseudomanifold(c)
-    if not pm.ok:
-        raise NotPseudomanifold(pm.detail)
     if verify.orientability(c):
         raise AlreadyOrientable("complex is already orientable")
 

@@ -146,9 +146,10 @@ def fill_to(c: Complex, schedule: FillSchedule, target_f1: int) -> Complex:
         )
     for idx in range(steps):
         mv = schedule.moves[idx]
-        if not is_flippable(c, mv):
-            raise ScheduleInvalid(f"move {idx} not flippable: {mv.to_text()}")
-        c = apply_move(c, mv)
+        try:
+            c = apply_move(c, mv)
+        except NotFlippable as exc:
+            raise ScheduleInvalid(f"move {idx} not flippable: {mv.to_text()}") from exc
     return c
 
 

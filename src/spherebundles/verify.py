@@ -1,10 +1,11 @@
 """Exact rational homology, orientability, manifold evidence, isomorphism.
 
-All rank computations run over the integers with fraction-free elimination
-(rows are rescaled and re-normalised by their gcd), so no floating point is
-involved anywhere.  Boundary matrices are tiny but the covers of the larger
-bundle triangulations reach a thousand faces per dimension, hence the sparse
-row representation.
+Ranks are computed over the integers by echelon insertion: every row of a
+boundary matrix is reduced, by fraction-free elimination, against the pivots
+found so far and keyed by its largest column, so no floating point and no
+global pivot search is involved.  Boundary matrices are tiny but the covers
+of the larger bundle triangulations reach a thousand faces per dimension,
+hence the sparse row representation.
 """
 
 from __future__ import annotations
@@ -57,63 +58,42 @@ def _normalise(row: dict[int, int]) -> dict[int, int]:
 def exact_rank(sparse_rows: list[dict[int, int]]) -> int:
     """Rank over the rationals of an integer matrix given as sparse rows.
 
-    Integer-preserving elimination: pivots of absolute value one are used
-    directly; otherwise the target row is scaled by the pivot before
-    subtraction and re-normalised by its gcd.  Exact for any input.
+    Echelon insertion: each row in turn is reduced against the pivots kept
+    so far, one per leading column, until it is zero or leads in a column
+    that holds no pivot, where it becomes that column's pivot (divided by
+    the gcd of its entries).  The leading column is the largest one: every
+    column of a pivot is at most its leading column, so each reduction
+    strictly lowers the row's leading column and the reduction ends.  A row
+    whose leading entry v is a multiple of the pivot's p loses (v // p)
+    times the pivot; otherwise it is scaled by p, loses v times the pivot
+    and is divided by its gcd.  Integers only, exact for any input; the
+    rank is the number of pivots.
     """
-    rows = {i: _normalise(dict(r)) for i, r in enumerate(sparse_rows) if r}
-    col_rows: dict[int, set[int]] = {}
-    for i, r in rows.items():
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    rank = 0
-    while rows:
-        # cheapest column, then the best pivot inside it
-        col = min(col_rows, key=lambda c: (len(col_rows[c]), c))
-        pivot_id = min(
-            col_rows[col],
-            key=lambda i: (abs(rows[i][col]) != 1, len(rows[i]), i),
-        )
-        pivot = rows.pop(pivot_id)
-        p = pivot[col]
-        for c in pivot:
-            col_rows[c].discard(pivot_id)
-            if not col_rows[c]:
-                del col_rows[c]
-        for i in list(col_rows.get(col, ())):
-            row = rows[i]
-            v = row[col]
-            if v % p == 0:
+    pivots: dict[int, dict[int, int]] = {}
+    for r in sparse_rows:
+        row = {c: v for c, v in r.items() if v}
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = _normalise(row)
+                break
+            p, v = pivot[col], row[col]
+            scaled = v % p != 0
+            if scaled:
+                row = {c: p * x for c, x in row.items()}
+                q = v
+            else:
                 q = v // p
-                new = {}
-                for cc, pv in pivot.items():
-                    nv = row.get(cc, 0) - q * pv
-                    if nv:
-                        new[cc] = nv
-                for cc, rv in row.items():
-                    if cc not in pivot:
-                        new[cc] = rv
-            else:
-                new = {}
-                for cc in set(row) | set(pivot):
-                    nv = p * row.get(cc, 0) - v * pivot.get(cc, 0)
-                    if nv:
-                        new[cc] = nv
-                new = _normalise(new)
-            for cc in row:
-                if cc not in new:
-                    col_rows[cc].discard(i)
-                    if not col_rows[cc]:
-                        del col_rows[cc]
-            for cc in new:
-                if cc not in row:
-                    col_rows.setdefault(cc, set()).add(i)
-            if new:
-                rows[i] = new
-            else:
-                del rows[i]
-        rank += 1
-    return rank
+            for c, x in pivot.items():
+                nx = row.get(c, 0) - q * x
+                if nx:
+                    row[c] = nx
+                else:
+                    del row[c]
+            if scaled:
+                row = _normalise(row)
+    return len(pivots)
 
 
 def betti_numbers(c: Complex) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,29 @@ def test_cli_double_cover(tmp_path, capsys):
     assert cli.main(["double-cover", "--in", str(path)]) == 0
     cover = fileio.parse(capsys.readouterr().out)
     assert cover.num_vertices == 18
+
+
+def test_cli_double_cover_of_non_pseudomanifold_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3\n"))
+    assert cli.main(["double-cover"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "NotPseudomanifold: ridge (1, 2) lies in 1 facets\n"
+
+
+def test_cli_build_prints_each_warning_as_a_note(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sb.build_miss(5)
+    assert caught
+    assert cli.main(["build", "miss", "--n", "5"]) == 0
+    err = capsys.readouterr().err
+    assert err == "".join(f"note: {w.message}\n" for w in caught)
+
+
+def test_cli_missing_input_file_exits_one(tmp_path, capsys):
+    assert cli.main(["analyze", "--in", str(tmp_path / "absent.fl")]) == 1
+    assert capsys.readouterr().err.startswith("FileNotFoundError: ")
 
 
 def test_cli_region(capsys):

@@ -11,6 +11,7 @@ from spherebundles.errors import (
     DistanceViolation,
     InfeasibleVertexCount,
     NotAFacet,
+    NotPseudomanifold,
     NotTwoStacks,
     PairingNotOnTops,
 )
@@ -216,3 +217,9 @@ def test_double_cover_doubles_f_vector():
 def test_double_cover_rejects_orientable():
     with pytest.raises(AlreadyOrientable):
         sb.orientation_double_cover(sb.build_miss(5))
+
+
+def test_double_cover_rejects_non_pseudomanifold():
+    with pytest.raises(NotPseudomanifold) as exc:
+        sb.orientation_double_cover(sb.Complex([(1, 2, 3)]))
+    assert str(exc.value) == "ridge (1, 2) lies in 1 facets"

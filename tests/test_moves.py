@@ -158,8 +158,9 @@ def test_mismatched_schedule_raises_schedule_invalid(iss_std, iss_sw):
     # replaying the standard schedule on the swapped complex must fail the
     # self-verification: {5, 11} is already an edge there
     sched = sb.build_fill_schedule(iss_std)
-    with pytest.raises(ScheduleInvalid):
+    with pytest.raises(ScheduleInvalid, match=r"^move \d+ not flippable: A: ") as exc:
         sb.fill_to(iss_sw, sched, comb(12, 2))
+    assert isinstance(exc.value.__cause__, NotFlippable)
 
 
 # -- feasible region -----------------------------------------------------------------

@@ -5,6 +5,8 @@ from math import comb
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherebundles as sb
 from spherebundles import BundleType
@@ -15,6 +17,11 @@ from spherebundles.verify import exact_rank, facet_adjacency_signs
 def _dense(columns, num_rows):
     """Row-major dense matrix of sparse {row: value} columns."""
     return [[col.get(i, 0) for col in columns] for i in range(num_rows)]
+
+
+def _sparse(dense):
+    """Sparse {column: value} rows of a row-major dense matrix."""
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
 
 
 def test_boundary_matrix_single_edge():
@@ -68,8 +75,55 @@ def test_exact_rank_against_sympy_oracle():
         m = rng.randint(1, 7)
         n = rng.randint(1, 7)
         dense = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
-        assert exact_rank(rows) == sympy.Matrix(dense).rank()
+        assert exact_rank(_sparse(dense)) == sympy.Matrix(dense).rank()
+
+
+def test_exact_rank_small_cases():
+    # a leading entry that the pivot does not divide takes the scaled step
+    assert exact_rank([{0: 2}, {0: 3}]) == 1
+    assert exact_rank([{0: 1, 1: 2}, {0: 1, 1: 3}]) == 2
+    assert exact_rank([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
+    # explicit zero entries count as absent
+    assert exact_rank([{0: 0}, {1: 0, 0: 5}]) == 1
+    assert exact_rank([]) == 0
+    assert exact_rank([{}, {}]) == 0
+
+
+# integer matrices up to 12 x 12 with entries in -9..9, about half of them
+# zero so that dependent rows and the scaled step both occur
+_matrices = st.integers(1, 12).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=n, max_size=n),
+        min_size=1,
+        max_size=12,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices)
+def test_exact_rank_equals_sympy_rank(dense):
+    rows = _sparse(dense)
+    assert exact_rank(rows) == sympy.Matrix(dense).rank()
+    assert rows == _sparse(dense)  # the input is left as it was
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices, st.randoms(use_true_random=False))
+def test_exact_rank_ignores_row_order(dense, rnd):
+    rows = _sparse(dense)
+    shuffled = rows[:]
+    rnd.shuffle(shuffled)
+    assert exact_rank(shuffled) == exact_rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices, st.data())
+def test_exact_rank_ignores_a_sum_of_two_rows(dense, data):
+    i = data.draw(st.integers(0, len(dense) - 1))
+    j = data.draw(st.integers(0, len(dense) - 1))
+    summed = [a + b for a, b in zip(dense[i], dense[j])]
+    assert exact_rank(_sparse(dense + [summed])) == exact_rank(_sparse(dense))
 
 
 def test_betti_spheres():
