@@ -83,8 +83,11 @@ def cross_pair_flags(sphere: Complex, pairing: Pairing) -> list[str]:
     flags = []
     for i, (u, _) in enumerate(pairing.pairs):
         for j, (_, w) in enumerate(pairing.pairs):
-            if i != j and graph_distance(sphere, u, w) < 3:
-                flags.append(f"cross pair ({u}, {w}) at distance {graph_distance(sphere, u, w)}")
+            if i == j:
+                continue
+            d = graph_distance(sphere, u, w)
+            if d < 3:
+                flags.append(f"cross pair ({u}, {w}) at distance {d}")
     return flags
 
 

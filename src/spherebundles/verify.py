@@ -6,10 +6,21 @@ found so far and keyed by its largest column, so no floating point and no
 global pivot search is involved.  Boundary matrices are tiny but the covers
 of the larger bundle triangulations reach a thousand faces per dimension,
 hence the sparse row representation.
+
+Betti numbers use clearing (Chen and Kerber, "Persistent homology
+computation with a twist", 2011; Bauer, Kerber and Reininghaus, "Clear and
+compress", 2014): the boundary maps are reduced top-down, and a d-face that
+is the leading column of a pivot of the boundary of the (d+1)-faces is never
+built or reduced as a row of the boundary of the d-faces.  Since the
+composite of two boundary maps is zero, such a row is a combination of the
+rows before it, so it would have reduced to zero.  This holds for any order
+of the d-faces, provided both maps use the same one, and the ranks stay
+exact.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
@@ -27,6 +38,11 @@ from .errors import DimensionTooLow, InvalidWitness, NotPseudomanifold
 # boundary matrices and Betti numbers
 # ---------------------------------------------------------------------------
 
+def _boundary_row(face: tuple[int, ...], index: dict[tuple[int, ...], int]) -> dict[int, int]:
+    # the face with its i-th vertex removed, at its index, gets (-1)^i
+    return {index[face[:i] + face[i + 1 :]]: -1 if i & 1 else 1 for i in range(len(face))}
+
+
 def boundary_matrix(c: Complex, d: int) -> list[dict[int, int]]:
     """Columns of the boundary operator from d-faces to (d-1)-faces.
 
@@ -39,11 +55,8 @@ def boundary_matrix(c: Complex, d: int) -> list[dict[int, int]]:
         raise ValueError(f"d must be between 0 and {c.n - 1}")
     if d == 0:
         return [{} for _ in c.faces(0)]
-    rows = {f: i for i, f in enumerate(sorted(c.faces(d - 1)))}
-    return [
-        {rows[F[:i] + F[i + 1 :]]: (-1) ** i for i in range(d + 1)}
-        for F in sorted(c.faces(d))
-    ]
+    index = {f: i for i, f in enumerate(sorted(c.faces(d - 1)))}
+    return [_boundary_row(F, index) for F in sorted(c.faces(d))]
 
 
 def _normalise(row: dict[int, int]) -> dict[int, int]:
@@ -55,20 +68,8 @@ def _normalise(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def exact_rank(sparse_rows: list[dict[int, int]]) -> int:
-    """Rank over the rationals of an integer matrix given as sparse rows.
-
-    Echelon insertion: each row in turn is reduced against the pivots kept
-    so far, one per leading column, until it is zero or leads in a column
-    that holds no pivot, where it becomes that column's pivot (divided by
-    the gcd of its entries).  The leading column is the largest one: every
-    column of a pivot is at most its leading column, so each reduction
-    strictly lowers the row's leading column and the reduction ends.  A row
-    whose leading entry v is a multiple of the pivot's p loses (v // p)
-    times the pivot; otherwise it is scaled by p, loses v times the pivot
-    and is divided by its gcd.  Integers only, exact for any input; the
-    rank is the number of pivots.
-    """
+def _pivots(sparse_rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    # echelon insertion (see exact_rank): {leading column: reduced row}
     pivots: dict[int, dict[int, int]] = {}
     for r in sparse_rows:
         row = {c: v for c, v in r.items() if v}
@@ -93,16 +94,53 @@ def exact_rank(sparse_rows: list[dict[int, int]]) -> int:
                     del row[c]
             if scaled:
                 row = _normalise(row)
-    return len(pivots)
+    return pivots
+
+
+def exact_rank(sparse_rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of an integer matrix given as sparse rows.
+
+    Echelon insertion: each row in turn is reduced against the pivots kept
+    so far, one per leading column, until it is zero or leads in a column
+    that holds no pivot, where it becomes that column's pivot (divided by
+    the gcd of its entries).  The leading column is the largest one: every
+    column of a pivot is at most its leading column, so each reduction
+    strictly lowers the row's leading column and the reduction ends.  A row
+    whose leading entry v is a multiple of the pivot's p loses (v // p)
+    times the pivot; otherwise it is scaled by p, loses v times the pivot
+    and is divided by its gcd.  Integers only, exact for any input; the
+    rank is the number of pivots of this elimination, which
+    ``betti_numbers`` shares.
+    """
+    return len(_pivots(sparse_rows))
 
 
 def betti_numbers(c: Complex) -> tuple[int, ...]:
-    """Rational Betti numbers (beta_0, ..., beta_{n-1}), unreduced."""
+    """Rational Betti numbers (beta_0, ..., beta_{n-1}), unreduced.
+
+    The boundary maps are reduced from d = n-1 down to 1 with clearing: the
+    rows of the boundary of the d-faces are the d-faces in sorted order, the
+    same order that indexes the columns of the boundary of the (d+1)-faces,
+    and the d-faces that lead a pivot there are skipped, because their rows
+    are combinations of earlier rows (the boundary of a boundary is zero).
+    Only the remaining f_d - rank(boundary_{d+1}) rows are built and
+    reduced; the rank of each map is the number of pivots found.
+    """
     n = c.n
+    faces = [sorted(c.faces(d)) for d in range(n)]
     ranks = [0] * (n + 1)  # rank of boundary_d; d = 0 and d = n are zero maps
-    for d in range(1, n):
-        ranks[d] = exact_rank(boundary_matrix(c, d))
-    return tuple(len(c.faces(d)) - ranks[d] - ranks[d + 1] for d in range(n))
+    cleared: set[int] = set()
+    for d in range(n - 1, 0, -1):
+        index = {f: i for i, f in enumerate(faces[d - 1])}
+        cleared = set(
+            _pivots(
+                _boundary_row(F, index)
+                for j, F in enumerate(faces[d])
+                if j not in cleared
+            )
+        )
+        ranks[d] = len(cleared)
+    return tuple(len(faces[d]) - ranks[d] - ranks[d + 1] for d in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,50 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import spherebundles as sb
-from spherebundles import BundleType
+from spherebundles import BundleType, verify
 from spherebundles.errors import DimensionTooLow, NotPseudomanifold
 from spherebundles.verify import exact_rank, facet_adjacency_signs
 
 
-def _dense(columns, num_rows):
-    """Row-major dense matrix of sparse {row: value} columns."""
-    return [[col.get(i, 0) for col in columns] for i in range(num_rows)]
+def _sympy_rank(columns, num_rows):
+    """Rank over QQ, by sympy's sparse DomainMatrix, of sparse {row: value} columns."""
+    entries = {}
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            entries.setdefault(i, {})[j] = sympy.QQ(v)
+    return DomainMatrix(entries, (num_rows, len(columns)), sympy.QQ).rank()
+
+
+def _oracle_ranks(c):
+    """[0, rank boundary_1, ..., rank boundary_{n-1}, 0] of the full matrices."""
+    n = c.n
+    ranks = [0] * (n + 1)
+    for d in range(1, n):
+        ranks[d] = _sympy_rank(sb.boundary_matrix(c, d), len(c.faces(d - 1)))
+    return ranks
+
+
+def _oracle_betti(c):
+    ranks = _oracle_ranks(c)
+    return tuple(len(c.faces(d)) - ranks[d] - ranks[d + 1] for d in range(c.n))
+
+
+_FILLS = {}
+
+
+def _fill_prefixes(bundle):
+    """The (5,12) ISS of the bundle and every prefix of its fill schedule."""
+    if bundle not in _FILLS:
+        c = sb.build_iss(5, 12, bundle)
+        states = [c]
+        for mv in sb.build_fill_schedule(c).moves:
+            c = sb.apply_move(c, mv)
+            states.append(c)
+        _FILLS[bundle] = states
+    return _FILLS[bundle]
 
 
 def _sparse(dense):
@@ -138,17 +172,58 @@ def test_betti_bundles():
 
 
 def test_betti_against_sympy_rank_oracle():
-    # dense sympy matrices built from the sparse columns; the column count of
-    # boundary_d is the number of d-faces
-    for c in (sb.build_miss(4), sb.kuhnel_complex(3)):
-        n = c.n
-        mats = [sb.boundary_matrix(c, d) for d in range(n)]
-        counts = [len(m) for m in mats]
-        ranks = [0] * (n + 1)
-        for d in range(1, n):
-            ranks[d] = sympy.Matrix(_dense(mats[d], counts[d - 1])).rank()
-        expected = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(n))
-        assert sb.betti_numbers(c) == expected
+    # sympy ranks of the full, uncleared boundary matrices
+    complete = _fill_prefixes(BundleType.NONORIENTABLE)[-1]
+    assert len(complete.edges()) == 66
+    cases = (
+        sb.build_miss(4),
+        sb.kuhnel_complex(3),
+        sb.build_miss(5),
+        sb.orientation_double_cover(sb.build_miss(4)),
+        complete,
+    )
+    for c in cases:
+        assert sb.betti_numbers(c) == _oracle_betti(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.builds(
+            lambda n, k, seed: sb.random_stacked_sphere(n, k, seed)[0],
+            st.sampled_from((4, 5)),
+            st.integers(2, 6),
+            st.integers(0, 10**6),
+        ),
+        st.builds(
+            lambda bundle, i: _fill_prefixes(bundle)[i],
+            st.sampled_from(tuple(BundleType)),
+            st.integers(0, 6),
+        ),
+    )
+)
+def test_betti_equals_sympy_ranks_on_random_complexes(c):
+    assert sb.betti_numbers(c) == _oracle_betti(c)
+
+
+def test_betti_reduces_only_uncleared_rows(monkeypatch):
+    # clearing: the boundary of the d-faces is reduced on exactly
+    # f_d - rank(boundary_{d+1}) rows, for every d
+    reduced = []
+    pivots = verify._pivots
+
+    def recording(rows):
+        rows = list(rows)
+        reduced.append(len(rows))
+        return pivots(rows)
+
+    monkeypatch.setattr(verify, "_pivots", recording)
+    for c in (sb.build_miss(5), _fill_prefixes(BundleType.NONORIENTABLE)[-1]):
+        reduced.clear()
+        ranks = _oracle_ranks(c)
+        sb.betti_numbers(c)
+        expected = [len(c.faces(d)) - ranks[d + 1] for d in range(c.n - 1, 0, -1)]
+        assert reduced == expected
 
 
 def test_betti_alternating_sum_is_euler_characteristic():
