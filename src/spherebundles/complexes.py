@@ -9,7 +9,8 @@ complexes are safe to share read-only between concurrent tasks.
 Faces are enumerated one dimension at a time, on first use, by expanding the
 (d+1)-subsets of every facet into a frozenset; a caller that needs only the
 edges never pays for the other dimensions.  Ridges carry one more index,
-from each ridge to the facets that contain it.
+from each ridge to the facets that contain it, and that index serves the
+one facet-graph walk that decides both pseudomanifoldness and orientability.
 """
 
 from __future__ import annotations
@@ -337,12 +338,16 @@ def graph_distance(c: Complex, u: int, v: int) -> int:
 
 @dataclass(frozen=True)
 class PseudomanifoldReport:
-    """Outcome of the pseudomanifold checks, with the first counterexample."""
+    """Outcome of the pseudomanifold checks, with the first counterexample.
+
+    ``orientable`` comes from the same walk; it is None unless ``ok``.
+    """
 
     pure: bool
     ridges_ok: bool
     connected: bool
     detail: str = ""
+    orientable: bool | None = None
 
     @property
     def ok(self) -> bool:
@@ -350,34 +355,46 @@ class PseudomanifoldReport:
 
 
 def is_pseudomanifold(c: Complex) -> PseudomanifoldReport:
-    """Check purity, ridge valence two, and facet-adjacency connectivity."""
+    """Check purity, ridge valence two, and facet-adjacency connectivity.
+
+    Ridges are checked in ``c.ridges()`` order, so the first bad ridge is the
+    same for every caller.  One walk of the facet graph then checks
+    connectivity and signs the facets: across a ridge, two facets keep the
+    same sign when the positions of their dropped vertices differ in parity,
+    and take opposite signs otherwise; the complex is orientable when no
+    ridge sees a conflict.  The walk never stops at a conflict, so a
+    disconnected complex is always reported as disconnected.
+    """
     if c.is_empty:
         return PseudomanifoldReport(False, False, False, "empty complex")
     # purity holds by construction (uniform facet cardinality); every vertex
     # lies in a facet by construction as well
-    ridges = c.ridges()
-    for ridge, incident in ridges.items():
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in c.facets]
+    for ridge, incident in c.ridges().items():
         if len(incident) != 2:
             return PseudomanifoldReport(
                 True, False, False,
                 f"ridge {ridge} lies in {len(incident)} facets",
             )
-    # facet-adjacency connectivity via BFS over shared ridges
-    seen = {0}
-    queue = deque([0])
-    neighbors: dict[int, set[int]] = {i: set() for i in range(len(c.facets))}
-    for (a, _), (b, _) in ridges.values():
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    while queue:
-        i = queue.popleft()
-        for j in neighbors[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    if len(seen) != len(c.facets):
+        (a, pa), (b, pb) = incident
+        flip = (pa + pb + 1) & 1  # 0: same sign, 1: opposite signs
+        neighbors[a].append((b, flip))
+        neighbors[b].append((a, flip))
+    sign = {0: 0}
+    stack = [0]
+    orientable = True
+    while stack:
+        i = stack.pop()
+        for j, flip in neighbors[i]:
+            want = sign[i] ^ flip
+            if j not in sign:
+                sign[j] = want
+                stack.append(j)
+            elif sign[j] != want:
+                orientable = False
+    if len(sign) != len(c.facets):
         return PseudomanifoldReport(
             True, True, False,
-            f"facet-adjacency graph has >= 2 components ({len(seen)} of {len(c.facets)} reachable)",
+            f"facet-adjacency graph has >= 2 components ({len(sign)} of {len(c.facets)} reachable)",
         )
-    return PseudomanifoldReport(True, True, True)
+    return PseudomanifoldReport(True, True, True, orientable=orientable)

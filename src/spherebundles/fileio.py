@@ -139,7 +139,6 @@ def analyze(c: Complex, warnings: tuple[str, ...] = ()) -> AnalysisReport:
     residual = tuple(klee_residual(c))
     evidence = verify.manifold_evidence(c)
     pm = evidence.pseudomanifold
-    orientable = verify.orientability(c) if pm.ok else None
     g2 = f.f(1) - n * f.f(0) + comb(n + 1, 2)
     return AnalysisReport(
         n=n,
@@ -152,7 +151,7 @@ def analyze(c: Complex, warnings: tuple[str, ...] = ()) -> AnalysisReport:
         klee_residual=residual,
         klee_ok=all(r == 0 for r in residual),
         betti=verify.betti_numbers(c),
-        orientable=orientable,
+        orientable=pm.orientable,
         pseudomanifold=pm.ok,
         pseudomanifold_detail=pm.detail,
         links_ok=all(lc.ok for lc in evidence.link_checks),

@@ -220,15 +220,20 @@ def build_iss(n: int, f0: int, bundle: BundleType) -> Complex:
     Tries the standard pairing, then the swapped one, and keeps whichever
     quotient's computed orientability matches the request; raises
     InfeasibleVertexCount when neither does (e.g. the nonorientable bundle
-    at the odd-n minimum f0 = 2n+1).
+    at the odd-n minimum f0 = 2n+1).  Each attempt's warnings are held back,
+    and only those of the quotient returned are issued.
     """
     if f0 < 2 * n + 1:
         raise InfeasibleVertexCount(f"need f0 >= {2 * n + 1}, got {f0}")
     for variant in VARIANTS:
         if variant == "swapped" and f0 < 2 * n + 2:
             continue
-        c = build_iss_variant(n, f0, variant)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            c = build_iss_variant(n, f0, variant)
         if verify.orientability(c) == bundle.orientable:
+            for w in caught:
+                warnings.warn(w.message, stacklevel=2)
             return c
     raise InfeasibleVertexCount(
         f"no pairing on f0 = {f0} yields the {bundle.value} bundle (n = {n})"
@@ -326,11 +331,11 @@ def orientation_double_cover(c: Complex) -> Complex:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    for i, j, tau, ridge in verify.facet_adjacency_signs(c):
+    for ridge, ((i, pi), (j, pj)) in c.ridges().items():
+        flip = (pi + pj + 1) & 1  # swap sheets unless the dropped positions differ in parity
         for s in (0, 1):
-            s2 = s if tau == 1 else 1 - s
             for v in ridge:
-                union((v, i, s), (v, j, s2))
+                union((v, i, s), (v, j, s ^ flip))
 
     shift = max(c.vertices)
     label: dict[tuple[int, int, int], int] = {}

@@ -63,9 +63,9 @@ def _normalise(row: dict[int, int]) -> dict[int, int]:
     g = 0
     for v in row.values():
         g = gcd(g, v)
-    if g > 1:
-        return {k: v // g for k, v in row.items()}
-    return row
+        if g == 1:
+            return row
+    return {k: v // g for k, v in row.items()}
 
 
 def _pivots(sparse_rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -147,46 +147,17 @@ def betti_numbers(c: Complex) -> tuple[int, ...]:
 # orientability
 # ---------------------------------------------------------------------------
 
-def facet_adjacency_signs(c: Complex):
-    """Ridge adjacencies (i, j, tau, ridge) with the relative orientation sign.
-
-    tau = +1 when facets i and j can keep the same sign in a consistent
-    orientation (their sorted-order orientations induce opposite signs on
-    the shared ridge), -1 when one must flip.  Raises NotPseudomanifold if
-    some ridge does not lie in exactly two facets.
-    """
-    out = []
-    for ridge, incident in c.ridges().items():
-        if len(incident) != 2:
-            raise NotPseudomanifold(f"ridge {ridge} lies in {len(incident)} facets")
-        (i, pi), (j, pj) = incident
-        tau = -1 if (pi + pj) % 2 == 0 else 1
-        out.append((i, j, tau, ridge))
-    return out
-
-
 def orientability(c: Complex) -> bool:
-    """True iff a consistent +-1 assignment to facets exists over all ridges."""
+    """True iff a consistent +-1 assignment to facets exists over all ridges.
+
+    Read from the one facet-graph walk of ``is_pseudomanifold``; raises
+    NotPseudomanifold with that walk's detail when the complex is not a
+    pseudomanifold.
+    """
     pm = is_pseudomanifold(c)
     if not pm.ok:
         raise NotPseudomanifold(pm.detail)
-    adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(c.facets))}
-    for i, j, tau, _ in facet_adjacency_signs(c):
-        adjacency[i].append((j, tau))
-        adjacency[j].append((i, tau))
-    sign = {0: 1}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j, tau in adjacency[i]:
-            want = sign[i] * tau
-            if j in sign:
-                if sign[j] != want:
-                    return False
-            else:
-                sign[j] = want
-                stack.append(j)
-    return True
+    return pm.orientable
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +197,10 @@ def manifold_evidence(c: Complex) -> ManifoldEvidence:
     """Pseudomanifold checks plus, per vertex, sphere homology of its link.
 
     Vertex links get their Betti vector compared against the sphere of
-    dimension n-2 and an orientability check.  Passing is evidence of
-    manifoldness only; full sphere recognition is out of reach.
+    dimension n-2 and an orientability check; each link's orientability and
+    failure detail are read from its one ``is_pseudomanifold`` walk.  Passing
+    is evidence of manifoldness only; full sphere recognition is out of
+    reach.
     """
     if c.n < 2:
         raise DimensionTooLow(f"vertex links need n >= 2, got n = {c.n}")
@@ -237,12 +210,9 @@ def manifold_evidence(c: Complex) -> ManifoldEvidence:
     for v in sorted(c.vertices):
         lk = link(c, (v,))
         betti = betti_numbers(lk)
-        try:
-            ori = orientability(lk)
-            detail = ""
-        except NotPseudomanifold as exc:
-            ori = False
-            detail = str(exc)
+        lk_pm = is_pseudomanifold(lk)
+        ori = bool(lk_pm.orientable)
+        detail = lk_pm.detail
         ok = betti == expected and ori
         if not ok and not detail:
             detail = f"link Betti {betti} vs sphere {expected}" if betti != expected else "link nonorientable"

@@ -157,6 +157,17 @@ def test_cli_build_prints_each_warning_as_a_note(capsys):
     assert err == "".join(f"note: {w.message}\n" for w in caught)
 
 
+def test_cli_build_iss_notes_only_the_pairing_it_keeps(capsys):
+    # the nonorientable (5,12) ISS comes from the second pairing tried; the
+    # first pairing's notes must not be printed as well
+    assert cli.main(["build", "iss", "--n", "5", "--vertices", "12",
+                     "--bundle", "nonorientable"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 6
+    assert len(set(lines)) == 6
+    assert all(line.startswith("note: cross pair ") for line in lines)
+
+
 def test_cli_missing_input_file_exits_one(tmp_path, capsys):
     assert cli.main(["analyze", "--in", str(tmp_path / "absent.fl")]) == 1
     assert capsys.readouterr().err.startswith("FileNotFoundError: ")

@@ -12,7 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 import spherebundles as sb
 from spherebundles import BundleType, verify
 from spherebundles.errors import DimensionTooLow, NotPseudomanifold
-from spherebundles.verify import exact_rank, facet_adjacency_signs
+from spherebundles.verify import exact_rank
 
 
 def _sympy_rank(columns, num_rows):
@@ -186,22 +186,24 @@ def test_betti_against_sympy_rank_oracle():
         assert sb.betti_numbers(c) == _oracle_betti(c)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.one_of(
-        st.builds(
-            lambda n, k, seed: sb.random_stacked_sphere(n, k, seed)[0],
-            st.sampled_from((4, 5)),
-            st.integers(2, 6),
-            st.integers(0, 10**6),
-        ),
-        st.builds(
-            lambda bundle, i: _fill_prefixes(bundle)[i],
-            st.sampled_from(tuple(BundleType)),
-            st.integers(0, 6),
-        ),
-    )
+# random stacked spheres, and every fill-schedule prefix of the (5,12) ISS
+_stacked_or_prefix = st.one_of(
+    st.builds(
+        lambda n, k, seed: sb.random_stacked_sphere(n, k, seed)[0],
+        st.sampled_from((4, 5)),
+        st.integers(2, 6),
+        st.integers(0, 10**6),
+    ),
+    st.builds(
+        lambda bundle, i: _fill_prefixes(bundle)[i],
+        st.sampled_from(tuple(BundleType)),
+        st.integers(0, 6),
+    ),
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stacked_or_prefix)
 def test_betti_equals_sympy_ranks_on_random_complexes(c):
     assert sb.betti_numbers(c) == _oracle_betti(c)
 
@@ -252,8 +254,48 @@ def test_first_bad_ridge_is_the_same_for_every_reader():
     # (1, 2) comes first in combinations((1, 2, 3), 2) order
     c = sb.Complex([(1, 2, 3)])
     assert sb.is_pseudomanifold(c).detail == "ridge (1, 2) lies in 1 facets"
-    with pytest.raises(NotPseudomanifold, match=r"^ridge \(1, 2\) lies in 1 facets$"):
-        facet_adjacency_signs(c)
+    for reader in (sb.orientability, sb.orientation_double_cover):
+        with pytest.raises(NotPseudomanifold, match=r"^ridge \(1, 2\) lies in 1 facets$"):
+            reader(c)
+
+
+_COVERS = {}
+
+
+def _cover_of_prefix(i):
+    """Double cover of the i-th nonorientable (5,12) fill-schedule prefix."""
+    if i not in _COVERS:
+        _COVERS[i] = sb.orientation_double_cover(
+            _fill_prefixes(BundleType.NONORIENTABLE)[i]
+        )
+    return _COVERS[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_stacked_or_prefix, st.builds(_cover_of_prefix, st.integers(0, 6))))
+def test_orientability_equals_top_cycle_count(c):
+    # a connected closed pseudomanifold is orientable iff its top cycles
+    # (the kernel of the top boundary map, over QQ) form a line
+    assert sb.is_pseudomanifold(c).ok
+    top = c.n - 1
+    top_cycles = len(c.faces(top)) - _sympy_rank(sb.boundary_matrix(c, top), len(c.faces(top - 1)))
+    assert sb.orientability(c) == (top_cycles == 1)
+
+
+def test_walk_reports_a_nonorientable_component_as_disconnected():
+    # the 6-vertex RP^2 beside the boundary of a tetrahedron: the walk must
+    # not stop at the sign conflict inside RP^2 before counting the facets
+    rp2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+           (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+    tetra = [(7, 8, 9), (7, 8, 10), (7, 9, 10), (8, 9, 10)]
+    c = sb.Complex(rp2 + tetra)
+    report = sb.is_pseudomanifold(c)
+    assert not report.ok and report.orientable is None
+    message = r"^facet-adjacency graph has >= 2 components \(10 of 14 reachable\)$"
+    with pytest.raises(NotPseudomanifold, match=message):
+        sb.orientability(c)
+    with pytest.raises(NotPseudomanifold, match=message):
+        sb.orientation_double_cover(c)
 
 
 def test_top_betti_matches_orientability():
