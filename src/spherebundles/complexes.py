@@ -40,7 +40,9 @@ class Complex:
     is cached lazily.
     """
 
-    __slots__ = ("_facets", "_n", "_vertices", "_faces", "_ridges", "_adjacency")
+    # _pm, the PseudomanifoldReport, is left unset until is_pseudomanifold
+    # first walks the complex
+    __slots__ = ("_facets", "_n", "_vertices", "_faces", "_ridges", "_adjacency", "_pm")
 
     def __init__(self, facets):
         canon = sorted({tuple(sorted(f)) for f in facets})
@@ -364,7 +366,18 @@ def is_pseudomanifold(c: Complex) -> PseudomanifoldReport:
     and take opposite signs otherwise; the complex is orientable when no
     ridge sees a conflict.  The walk never stops at a conflict, so a
     disconnected complex is always reported as disconnected.
+
+    The report is cached on the complex, so a complex is walked once however
+    many callers ask.
     """
+    try:
+        return c._pm
+    except AttributeError:
+        pm = c._pm = _walk_facet_graph(c)
+        return pm
+
+
+def _walk_facet_graph(c: Complex) -> PseudomanifoldReport:
     if c.is_empty:
         return PseudomanifoldReport(False, False, False, "empty complex")
     # purity holds by construction (uniform facet cardinality); every vertex

@@ -16,13 +16,23 @@ composite of two boundary maps is zero, such a row is a combination of the
 rows before it, so it would have reduced to zero.  This holds for any order
 of the d-faces, provided both maps use the same one, and the ranks stay
 exact.
+
+The boundary rows are implicit, after Ripser's apparent pairs (Bauer,
+"Ripser: efficient computation of Vietoris-Rips persistence barcodes",
+J. Appl. Comput. Topol. 5, 2021).  With the (d-1)-faces in lexicographic
+order, the largest facet of a d-face F is F[1:], the face without its least
+vertex, with sign +1; so F's leading column is one index lookup.  When no
+pivot holds that column, F is an apparent pivot: F itself is stored, and
+its row is built only if a later row has to be reduced against it.  Most
+rows are never built.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import gcd
+from typing import TypeVar
 
 from .complexes import (
     Complex,
@@ -32,6 +42,8 @@ from .complexes import (
     link,
 )
 from .errors import DimensionTooLow, InvalidWitness, NotPseudomanifold
+
+K = TypeVar("K")
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +80,30 @@ def _normalise(row: dict[int, int]) -> dict[int, int]:
     return {k: v // g for k, v in row.items()}
 
 
-def _pivots(sparse_rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    # echelon insertion (see exact_rank): {leading column: reduced row}
-    pivots: dict[int, dict[int, int]] = {}
-    for r in sparse_rows:
-        row = {c: v for c, v in r.items() if v}
+def _pivots(
+    keys: Iterable[K],
+    lead: Callable[[K], int],
+    row_of: Callable[[K], dict[int, int]],
+) -> dict[int, K | dict[int, int]]:
+    # echelon insertion (see exact_rank): {leading column: pivot}.  A key whose
+    # leading column is free is stored as it is (an apparent pivot); any other
+    # key's row is built and reduced.  A stored key is built into its row,
+    # once, when a later row is reduced against it; a dict key is its own row.
+    pivots: dict[int, K | dict[int, int]] = {}
+    for key in keys:
+        col = lead(key)
+        if col not in pivots:
+            pivots[col] = key
+            continue
+        row = row_of(key)
         while row:
             col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
                 pivots[col] = _normalise(row)
                 break
+            if not isinstance(pivot, dict):
+                pivot = pivots[col] = row_of(pivot)
             p, v = pivot[col], row[col]
             scaled = v % p != 0
             if scaled:
@@ -102,17 +127,21 @@ def exact_rank(sparse_rows: list[dict[int, int]]) -> int:
 
     Echelon insertion: each row in turn is reduced against the pivots kept
     so far, one per leading column, until it is zero or leads in a column
-    that holds no pivot, where it becomes that column's pivot (divided by
-    the gcd of its entries).  The leading column is the largest one: every
-    column of a pivot is at most its leading column, so each reduction
-    strictly lowers the row's leading column and the reduction ends.  A row
-    whose leading entry v is a multiple of the pivot's p loses (v // p)
-    times the pivot; otherwise it is scaled by p, loses v times the pivot
-    and is divided by its gcd.  Integers only, exact for any input; the
-    rank is the number of pivots of this elimination, which
-    ``betti_numbers`` shares.
+    that holds no pivot, where it becomes that column's pivot.  The leading
+    column is the largest one with a nonzero entry: explicit zeros are
+    dropped first, so they never key a pivot.  Every column of a pivot is at
+    most its leading column, so each reduction strictly lowers the row's
+    leading column and the reduction ends.  A row whose leading entry v is a
+    multiple of the pivot's p loses (v // p) times the pivot; otherwise it is
+    scaled by p, loses v times the pivot and is divided by its gcd.  A row
+    that leads in a free column at once is kept as given (an apparent
+    pivot); one that needed reducing is divided by the gcd of its entries.
+    Integers only, exact for any input; the rank is the number of pivots of
+    this elimination, which ``betti_numbers`` shares.  The input is not
+    modified.
     """
-    return len(_pivots(sparse_rows))
+    rows = [{c: v for c, v in r.items() if v} for r in sparse_rows]
+    return len(_pivots([r for r in rows if r], max, dict))
 
 
 def betti_numbers(c: Complex) -> tuple[int, ...]:
@@ -123,8 +152,13 @@ def betti_numbers(c: Complex) -> tuple[int, ...]:
     same order that indexes the columns of the boundary of the (d+1)-faces,
     and the d-faces that lead a pivot there are skipped, because their rows
     are combinations of earlier rows (the boundary of a boundary is zero).
-    Only the remaining f_d - rank(boundary_{d+1}) rows are built and
-    reduced; the rank of each map is the number of pivots found.
+    The remaining f_d - rank(boundary_{d+1}) d-faces are handed to the
+    elimination as keys, each leading in the column of F[1:] (the largest
+    (d-1)-face of F in lexicographic order).  A face whose leading column is
+    free is stored as an apparent pivot without a row; a row is built for a
+    face whose leading column is taken, to be reduced, and for a stored face
+    the first time a later row is reduced against it.  The rank of each map
+    is the number of pivots found.
     """
     n = c.n
     faces = [sorted(c.faces(d)) for d in range(n)]
@@ -134,9 +168,9 @@ def betti_numbers(c: Complex) -> tuple[int, ...]:
         index = {f: i for i, f in enumerate(faces[d - 1])}
         cleared = set(
             _pivots(
-                _boundary_row(F, index)
-                for j, F in enumerate(faces[d])
-                if j not in cleared
+                (F for j, F in enumerate(faces[d]) if j not in cleared),
+                lambda F: index[F[1:]],
+                lambda F: _boundary_row(F, index),
             )
         )
         ranks[d] = len(cleared)

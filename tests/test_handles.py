@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import spherebundles as sb
-from spherebundles import BundleType
+from spherebundles import BundleType, complexes
 from spherebundles.errors import (
     AlreadyOrientable,
     DistanceViolation,
@@ -111,6 +111,24 @@ def test_build_iss_nonorientable_needs_extra_vertex():
     assert not sb.orientability(c)
     with pytest.raises(InfeasibleVertexCount):
         sb.build_iss(5, 11, BundleType.NONORIENTABLE)
+
+
+def test_build_iss_walks_each_quotient_once(monkeypatch):
+    # handle_addition's pseudomanifold check and build_iss's orientability
+    # question are answered by one facet-graph walk per quotient
+    walked = []
+    walk = complexes._walk_facet_graph
+
+    def counting(c):
+        walked.append(c)
+        return walk(c)
+
+    monkeypatch.setattr(complexes, "_walk_facet_graph", counting)
+    c = sb.build_iss(5, 12, BundleType.NONORIENTABLE)
+    assert len(walked) == 2 and len(set(walked)) == 2
+    assert sb.is_pseudomanifold(c) is sb.is_pseudomanifold(c)
+    assert not sb.orientability(c)
+    assert len(walked) == 2
 
 
 def test_build_iss_below_minimum():

@@ -1,6 +1,7 @@
 """Homology, orientability, manifold evidence, isomorphism search."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -119,6 +120,9 @@ def test_exact_rank_small_cases():
     assert exact_rank([{0: 2, 1: 4}, {0: 3, 1: 6}]) == 1
     # explicit zero entries count as absent
     assert exact_rank([{0: 0}, {1: 0, 0: 5}]) == 1
+    # also where the largest key holds the zero: both rows lead in column 2
+    assert exact_rank([{5: 0, 2: 3}, {2: -1, 7: 0}]) == 1
+    assert exact_rank([{9: 0, 1: 2, 0: 1}, {1: 4, 0: 2}, {8: 0, 3: 0}]) == 1
     assert exact_rank([]) == 0
     assert exact_rank([{}, {}]) == 0
 
@@ -210,14 +214,14 @@ def test_betti_equals_sympy_ranks_on_random_complexes(c):
 
 def test_betti_reduces_only_uncleared_rows(monkeypatch):
     # clearing: the boundary of the d-faces is reduced on exactly
-    # f_d - rank(boundary_{d+1}) rows, for every d
+    # f_d - rank(boundary_{d+1}) keys, for every d
     reduced = []
     pivots = verify._pivots
 
-    def recording(rows):
-        rows = list(rows)
-        reduced.append(len(rows))
-        return pivots(rows)
+    def recording(keys, lead, row_of):
+        keys = list(keys)
+        reduced.append(len(keys))
+        return pivots(keys, lead, row_of)
 
     monkeypatch.setattr(verify, "_pivots", recording)
     for c in (sb.build_miss(5), _fill_prefixes(BundleType.NONORIENTABLE)[-1]):
@@ -226,6 +230,78 @@ def test_betti_reduces_only_uncleared_rows(monkeypatch):
         sb.betti_numbers(c)
         expected = [len(c.faces(d)) - ranks[d + 1] for d in range(c.n - 1, 0, -1)]
         assert reduced == expected
+
+
+def _leads_taken(rows):
+    """For each sparse row in turn: does its largest column already lead a
+    pivot of the rows before it?  Plain Gaussian elimination over QQ, largest
+    column first; the answer depends on the matrix only."""
+    pivots = {}
+    taken = []
+    for r in rows:
+        taken.append(max(r) in pivots)
+        row = {c: Fraction(v) for c, v in r.items()}
+        while row:
+            col = max(row)
+            if col not in pivots:
+                pivots[col] = row
+                break
+            q = row[col] / pivots[col][col]
+            for c, x in pivots[col].items():
+                y = row.get(c, 0) - q * x
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
+    return taken
+
+
+def test_betti_builds_a_row_only_to_reduce(monkeypatch):
+    # implicit rows: a face's row is built when its leading column is
+    # taken, or, for an apparent pivot, when a later row is reduced against
+    # it; never twice, and fewer rows than faces are built in all
+    events = []
+    pivots = verify._pivots
+    build = verify._boundary_row
+
+    def recording_pivots(keys, lead, row_of):
+        def handed():
+            for F in keys:
+                events.append(("key", F))
+                yield F
+        return pivots(handed(), lead, row_of)
+
+    def recording_build(F, index):
+        events.append(("build", F))
+        return build(F, index)
+
+    monkeypatch.setattr(verify, "_pivots", recording_pivots)
+    monkeypatch.setattr(verify, "_boundary_row", recording_build)
+    for c in (sb.build_miss(5), _fill_prefixes(BundleType.NONORIENTABLE)[-1]):
+        events.clear()
+        sb.betti_numbers(c)
+        num_keys = sum(kind == "key" for kind, _ in events)
+        assert sum(kind == "build" for kind, _ in events) < num_keys
+        for d in range(c.n - 1, 0, -1):
+            timeline = [(kind, F) for kind, F in events if len(F) == d + 1]
+            keys = [F for kind, F in timeline if kind == "key"]
+            column = {F: j for j, F in enumerate(sorted(c.faces(d)))}
+            matrix = sb.boundary_matrix(c, d)
+            taken = dict(zip(keys, _leads_taken([matrix[column[F]] for F in keys])))
+            current, built = None, set()
+            for kind, F in timeline:
+                if kind == "key":
+                    current = F
+                    continue
+                assert F in taken and F not in built
+                built.add(F)
+                if F == current:
+                    assert taken[F]  # built to be reduced
+                else:
+                    # an earlier apparent pivot, built while the current row
+                    # is being reduced against it
+                    assert not taken[F] and current in built
+            assert {F for F in keys if taken[F]} <= built
 
 
 def test_betti_alternating_sum_is_euler_characteristic():
