@@ -6,11 +6,16 @@ are *not* required to be contiguous, which lets quotient and identification
 maps compose without relabelling.  Every operation here is a pure function;
 complexes are safe to share read-only between concurrent tasks.
 
-Faces are enumerated one dimension at a time, on first use, by expanding the
-(d+1)-subsets of every facet into a frozenset; a caller that needs only the
-edges never pays for the other dimensions.  Ridges carry one more index,
-from each ridge to the facets that contain it, and that index serves the
-one facet-graph walk that decides both pseudomanifoldness and orientability.
+Three indices are derived from the facets, each on first use and cached on
+the complex:
+
+- faces per dimension: the (d+1)-subsets of every facet, expanded into a
+  frozenset one dimension at a time, so a caller that needs only the edges
+  never pays for the other dimensions;
+- ridges: each ridge to the facets that contain it, which serves the one
+  facet-graph walk that decides both pseudomanifoldness and orientability;
+- stars: each vertex to the facets that contain it, which serves links, the
+  orientation double cover and the isomorphism search.
 """
 
 from __future__ import annotations
@@ -36,13 +41,11 @@ class Complex:
     ``n`` is the facet cardinality, so the complex has dimension ``n - 1``.
     Duplicate facets in the input are merged silently: quotient
     constructions naturally produce coincident facets that must collapse to
-    one.  Instances are immutable; derived data (faces, ridges, adjacency)
-    is cached lazily.
+    one.  Instances are immutable; derived data (faces, ridges, stars,
+    adjacency, the pseudomanifold report) is cached lazily.
     """
 
-    # _pm, the PseudomanifoldReport, is left unset until is_pseudomanifold
-    # first walks the complex
-    __slots__ = ("_facets", "_n", "_vertices", "_faces", "_ridges", "_adjacency", "_pm")
+    __slots__ = ("_facets", "_n", "_vertices", "_faces", "_ridges", "_stars", "_adjacency", "_pm")
 
     def __init__(self, facets):
         canon = sorted({tuple(sorted(f)) for f in facets})
@@ -60,7 +63,9 @@ class Complex:
         self._vertices = frozenset(v for f in canon for v in f)
         self._faces = [None] * self._n  # one face index per dimension
         self._ridges = None
+        self._stars = None
         self._adjacency = None
+        self._pm = None
 
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
@@ -115,6 +120,20 @@ class Complex:
             self._ridges = index
         return self._ridges
 
+    def stars(self) -> dict[int, list[int]]:
+        """Each vertex, in increasing order, mapped to the indices of the
+        facets that contain it, in facet order.
+
+        Built on first use and cached; callers must not modify it.
+        """
+        if self._stars is None:
+            index: dict[int, list[int]] = {v: [] for v in sorted(self._vertices)}
+            for idx, F in enumerate(self._facets):
+                for v in F:
+                    index[v].append(idx)
+            self._stars = index
+        return self._stars
+
     def has_face(self, face) -> bool:
         t = tuple(sorted(face))
         return t in self.faces(len(t) - 1)
@@ -146,67 +165,27 @@ class Complex:
 
 
 @dataclass(frozen=True)
-class FVector:
-    """Face counts (f_{-1}, f_0, ..., f_{n-1}) with the conventional f_{-1} = 1."""
+class IntVector:
+    """An f-, h- or g-vector: integer entries whose first entry is 1.
+
+    As an f-vector the entries are (f_{-1}, f_0, ..., f_{n-1}); as an
+    h-vector h_0..h_n, where later entries may be negative; as a g-vector
+    the differences g_i = h_i - h_{i-1} for i <= floor(n/2).
+    """
 
     entries: tuple[int, ...]
 
     def __post_init__(self):
         if not self.entries or self.entries[0] != 1:
-            raise ValueError("f-vector must start with f_{-1} = 1")
+            raise ValueError(f"vector {self.entries} must start with 1")
 
     def f(self, i: int) -> int:
-        """f_i, for i from -1 to n-1."""
+        """f_i of an f-vector, for i from -1 to n-1."""
         return self.entries[i + 1]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-
-@dataclass(frozen=True)
-class HVector:
-    """Entries h_0..h_n of the h-vector; h_0 = 1, later entries may be negative."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.entries or self.entries[0] != 1:
-            raise ValueError("h-vector must start with h_0 = 1")
-
-    def h(self, i: int) -> int:
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-
-@dataclass(frozen=True)
-class GVector:
-    """Successive differences g_i = h_i - h_{i-1} for i <= floor(n/2); g_0 = 1."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.entries or self.entries[0] != 1:
-            raise ValueError("g-vector must start with g_0 = 1")
-
-    def g(self, i: int) -> int:
-        return self.entries[i]
 
     @property
     def g2(self) -> int:
+        """g_2 of a g-vector."""
         return self.entries[2]
 
     def __iter__(self):
@@ -217,6 +196,9 @@ class GVector:
 
     def __getitem__(self, i):
         return self.entries[i]
+
+
+FVector = HVector = GVector = IntVector
 
 
 def from_facets(facet_list) -> Complex:
@@ -231,12 +213,12 @@ def from_facets(facet_list) -> Complex:
     return Complex(facet_list)
 
 
-def f_vector(c: Complex) -> FVector:
+def f_vector(c: Complex) -> IntVector:
     """Face counts read from the per-dimension face index."""
-    return FVector((1, *(len(c.faces(d)) for d in range(c.n))))
+    return IntVector((1, *(len(c.faces(d)) for d in range(c.n))))
 
 
-def h_from_f(f: FVector, n: int) -> HVector:
+def h_from_f(f: IntVector, n: int) -> IntVector:
     """Alternating-sum transform: h_i = sum_j (-1)^(i-j) C(n-j, n-i) f_{j-1}."""
     if len(f) != n + 1:
         raise LengthMismatch(f"f-vector has {len(f)} entries, expected {n + 1}")
@@ -244,26 +226,26 @@ def h_from_f(f: FVector, n: int) -> HVector:
         sum((-1) ** (i - j) * comb(n - j, n - i) * f[j] for j in range(i + 1))
         for i in range(n + 1)
     )
-    return HVector(ent)
+    return IntVector(ent)
 
 
-def f_from_h(h: HVector, n: int) -> FVector:
+def f_from_h(h: IntVector, n: int) -> IntVector:
     """Inverse transform: f_{i-1} = sum_j C(n-j, n-i) h_j (nonnegative weights)."""
     if len(h) != n + 1:
         raise LengthMismatch(f"h-vector has {len(h)} entries, expected {n + 1}")
     ent = tuple(
         sum(comb(n - j, n - i) * h[j] for j in range(i + 1)) for i in range(n + 1)
     )
-    return FVector(ent)
+    return IntVector(ent)
 
 
-def g_vector(h: HVector) -> GVector:
+def g_vector(h: IntVector) -> IntVector:
     """g_i = h_i - h_{i-1} for i up to floor(n/2), where n = len(h) - 1."""
     n = len(h) - 1
     ent = [1]
     for i in range(1, n // 2 + 1):
         ent.append(h[i] - h[i - 1])
-    return GVector(tuple(ent))
+    return IntVector(tuple(ent))
 
 
 def euler_characteristic(c: Complex) -> int:
@@ -297,9 +279,13 @@ def link(c: Complex, face) -> Complex:
     t = tuple(sorted(face))
     if not c.has_face(t):
         raise NotAFace(f"{t} is not a face")
+    # every facet that contains the face lies in the star of each of its
+    # vertices, so the smallest of those stars is all that is walked
+    stars = c.stars()
     fs = set(t)
     out = []
-    for F in c.facets:
+    for i in min((stars[v] for v in t), key=len):
+        F = c.facets[i]
         if fs.issubset(F):
             rest = tuple(v for v in F if v not in fs)
             if rest:
@@ -370,11 +356,9 @@ def is_pseudomanifold(c: Complex) -> PseudomanifoldReport:
     The report is cached on the complex, so a complex is walked once however
     many callers ask.
     """
-    try:
-        return c._pm
-    except AttributeError:
-        pm = c._pm = _walk_facet_graph(c)
-        return pm
+    if c._pm is None:
+        c._pm = _walk_facet_graph(c)
+    return c._pm
 
 
 def _walk_facet_graph(c: Complex) -> PseudomanifoldReport:

@@ -130,7 +130,7 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def analyze(c: Complex, warnings: tuple[str, ...] = ()) -> AnalysisReport:
+def analyze(c: Complex) -> AnalysisReport:
     """Compute the full invariant report for a complex."""
     n = c.n
     f = f_vector(c)
@@ -157,5 +157,4 @@ def analyze(c: Complex, warnings: tuple[str, ...] = ()) -> AnalysisReport:
         links_ok=all(lc.ok for lc in evidence.link_checks),
         g2=g2,
         g2_bound=comb(n + 1, 2),
-        warnings=tuple(warnings),
     )

@@ -339,10 +339,8 @@ def orientation_double_cover(c: Complex) -> Complex:
 
     shift = max(c.vertices)
     label: dict[tuple[int, int, int], int] = {}
-    for v in sorted(c.vertices):
-        roots = sorted(
-            {find((v, i, s)) for i, F in enumerate(c.facets) if v in F for s in (0, 1)}
-        )
+    for v, star in c.stars().items():
+        roots = sorted({find((v, i, s)) for i in star for s in (0, 1)})
         for which, root in enumerate(roots):
             label[root] = v + which * shift
 

@@ -108,6 +108,11 @@ def build_fill_schedule(c: Complex) -> FillSchedule:
     if n < 4:
         # at n = 3 this move type can delete a vertex, so surfaces are out
         raise ValueError("edge filling needs n >= 4")
+    if f0 <= n or c.vertices != frozenset(range(1, f0 + 1)):
+        raise ScheduleInvalid(
+            f"edge filling needs f0 > n and vertex labels 1..f0 (n = {n}, f0 = {f0}, "
+            f"labels {min(c.vertices)}..{max(c.vertices)})"
+        )
     edges = c.faces(1)
     moves = []
     for g in range(1, f0 - 2 * n):

@@ -297,10 +297,8 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
     adj_a = a.adjacency()
     adj_b = b.adjacency()
     b_faces = [b.faces(d) for d in range(b.n)]
-    star_a: dict[int, list[tuple[int, ...]]] = {v: [] for v in a.vertices}
-    for F in a.facets:
-        for v in F:
-            star_a[v].append(F)
+    a_facets = a.facets
+    star_a = a.stars()
 
     # order: rarest signature first, then stay connected to what is mapped
     sig_count = {s: len(vs) for s, vs in by_sig.items()}
@@ -326,8 +324,8 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
         for u, x in mapping.items():
             if (u in adj_a[v]) != (w in adj_b[x]):
                 return False
-        for F in star_a[v]:
-            img = [mapping[u] for u in F if u in mapping]
+        for i in star_a[v]:
+            img = [mapping[u] for u in a_facets[i] if u in mapping]
             img.append(w)
             img.sort()
             if tuple(img) not in b_faces[len(img) - 1]:

@@ -214,6 +214,18 @@ def test_g2_identity_on_corpus():
             assert sb.g_vector(h).g2 == h[2] - h[1]
 
 
+def test_one_vector_type_checks_its_leading_entry():
+    assert sb.FVector is sb.HVector is sb.GVector is sb.IntVector
+    f = sb.f_vector(sb.build_miss(4))
+    h = sb.h_from_f(f, 4)
+    for v in (f, h, sb.f_from_h(h, 4), sb.g_vector(h)):
+        assert type(v) is sb.IntVector
+    for name in ("FVector", "HVector", "GVector", "IntVector"):
+        for entries in ((), (0, 1), (2, 5, 10)):
+            with pytest.raises(ValueError, match="must start with 1"):
+                getattr(sb, name)(entries)
+
+
 # -- Euler characteristic and Klee residual --------------------------------------
 
 def test_euler_characteristic():

@@ -189,6 +189,27 @@ def test_cli_domain_error_exits_one(capsys):
     assert "InfeasibleVertexCount" in capsys.readouterr().err
 
 
+def test_cli_fill_edges_outside_its_precondition_exits_one(capsys, monkeypatch):
+    # the schedule needs f0 > n and vertex labels exactly 1..f0
+    iss = sb.build_iss(5, 12, sb.BundleType.ORIENTABLE)
+    inputs = (
+        ("1 2 3 4\n", 6),
+        (fileio.write(sb.boundary_of_simplex(4).relabeled({v: v + 4 for v in range(1, 6)})), 10),
+        (fileio.write(iss.relabeled({v: v + 1 for v in iss.vertices})), 66),
+        (fileio.write(iss.relabeled({v: 2 * v for v in iss.vertices})), 66),
+    )
+    for text, target in inputs:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert cli.main(["fill-edges", "--target-f1", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ScheduleInvalid: ")
+    # on labels 1..5 the boundary of the 4-simplex is already complete
+    monkeypatch.setattr("sys.stdin", io.StringIO(fileio.write(sb.boundary_of_simplex(4))))
+    assert cli.main(["fill-edges", "--target-f1", "10"]) == 0
+    assert capsys.readouterr().out == fileio.write(sb.boundary_of_simplex(4))
+
+
 def test_cli_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["build", "iss", "--n", "5"])

@@ -1,5 +1,6 @@
 """Homology, orientability, manifold evidence, isomorphism search."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -356,6 +357,34 @@ def test_orientability_equals_top_cycle_count(c):
     top = c.n - 1
     top_cycles = len(c.faces(top)) - _sympy_rank(sb.boundary_matrix(c, top), len(c.faces(top - 1)))
     assert sb.orientability(c) == (top_cycles == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_stacked_or_prefix, st.builds(_cover_of_prefix, st.integers(0, 6))), st.data())
+def test_star_index_and_links_against_facet_scan(c, data):
+    scan = {v: [i for i, F in enumerate(c.facets) if v in F] for v in sorted(c.vertices)}
+    assert list(c.stars().items()) == list(scan.items())
+    vertex = (data.draw(st.sampled_from(sorted(c.vertices))),)
+    edge = data.draw(st.sampled_from(sorted(c.edges())))
+    facet = data.draw(st.sampled_from(c.facets))
+    for face in (vertex, edge, facet):
+        fs = set(face)
+        expected = sb.Complex(tuple(v for v in F if v not in fs) for F in c.facets if fs < set(F))
+        assert sb.link(c, face) == expected
+    assert sb.link(c, facet).is_empty
+
+
+def test_double_cover_labels_are_pinned():
+    # sha256 of write() of the covers as labelled by a scan of every facet
+    # per vertex; reading the star index must not change a label
+    pinned = {
+        4: (54, "9f3ec219605943b0914edd92bf1b715b98b6802b6a330f0dd0743acade1aa5cf"),
+        6: (130, "2e8e2d28adf75c9b787f4293645c9c47619632208393325beba7df546e3e1a63"),
+    }
+    for n, (num_facets, digest) in pinned.items():
+        text = sb.write(sb.orientation_double_cover(sb.build_miss(n)))
+        assert len(text.splitlines()) == num_facets
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_walk_reports_a_nonorientable_component_as_disconnected():
