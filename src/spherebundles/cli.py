@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from functools import cache
 
 from . import fileio, moves, verify
 from .complexes import Complex
@@ -43,7 +44,9 @@ def _bundle(value: str) -> BundleType:
     return BundleType(value)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="spherebundles",
         description="Construct and verify triangulations of sphere bundles over the circle.",

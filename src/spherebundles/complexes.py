@@ -6,12 +6,16 @@ are *not* required to be contiguous, which lets quotient and identification
 maps compose without relabelling.  Every operation here is a pure function;
 complexes are safe to share read-only between concurrent tasks.
 
-Three indices are derived from the facets, each on first use and cached on
+Four indices are derived from the facets, each on first use and cached on
 the complex:
 
 - faces per dimension: the (d+1)-subsets of every facet, expanded into a
   frozenset one dimension at a time, so a caller that needs only the edges
   never pays for the other dimensions;
+- sorted faces per dimension: the same faces as one list in lexicographic
+  order, which indexes the boundary matrices and from which
+  ``vertex_links`` reads every vertex link without enumerating or sorting
+  the link's own faces;
 - ridges: each ridge to the facets that contain it, which serves the one
   facet-graph walk that decides both pseudomanifoldness and orientability;
 - stars: each vertex to the facets that contain it, which serves links, the
@@ -21,11 +25,13 @@ the complex:
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
 
 from .errors import (
+    DimensionTooLow,
     Disconnected,
     EmptyInput,
     LengthMismatch,
@@ -45,7 +51,9 @@ class Complex:
     adjacency, the pseudomanifold report) is cached lazily.
     """
 
-    __slots__ = ("_facets", "_n", "_vertices", "_faces", "_ridges", "_stars", "_adjacency", "_pm")
+    __slots__ = (
+        "_facets", "_n", "_vertices", "_faces", "_sorted", "_ridges", "_stars", "_adjacency", "_pm",
+    )
 
     def __init__(self, facets):
         canon = sorted({tuple(sorted(f)) for f in facets})
@@ -103,6 +111,36 @@ class Complex:
                 chain.from_iterable(combinations(F, d + 1) for F in self._facets)
             )
         return found
+
+    def sorted_faces(self, d: int) -> list[tuple[int, ...]]:
+        """The d-faces in lexicographic order; empty outside 0 <= d < n.
+
+        Built on first use from ``faces(d)`` and cached; callers must not
+        modify it.
+        """
+        if not 0 <= d < self._n:
+            return []
+        try:
+            lists = self._sorted
+        except AttributeError:  # allocated on first use, so __init__ pays nothing
+            lists = self._sorted = [None] * self._n
+        found = lists[d]
+        if found is None:
+            found = lists[d] = sorted(self.faces(d))
+        return found
+
+    @classmethod
+    def _from_sorted_faces(cls, lists: list[list[tuple[int, ...]]]) -> "Complex":
+        # trusted: lists[d] holds every d-face once, in lexicographic order,
+        # and the last list holds the facets; nothing is re-sorted or checked
+        c = cls.__new__(cls)
+        c._facets = tuple(lists[-1])
+        c._n = len(lists)
+        c._vertices = frozenset(v for (v,) in lists[0])
+        c._faces = [None] * c._n
+        c._sorted = lists
+        c._ridges = c._stars = c._adjacency = c._pm = None
+        return c
 
     def ridges(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
         """Each ridge mapped to its (facet index, position of the dropped vertex)
@@ -291,6 +329,37 @@ def link(c: Complex, face) -> Complex:
             if rest:
                 out.append(rest)
     return Complex(out)
+
+
+def vertex_links(c: Complex) -> Iterator[tuple[int, Complex]]:
+    """Each vertex, in increasing order, with its link, equal to ``link(c, (v,))``.
+
+    The links are read off the sorted faces of ``c``: one pass drops each
+    (d+1)-face F into the bucket of every vertex of F, and the d-faces of the
+    link of v are F without v over v's bucket.  Each link is built only when
+    it is reached, from references to the faces of ``c``.
+    """
+    if c.n < 2:
+        raise DimensionTooLow(f"vertex links need n >= 2, got n = {c.n}")
+    buckets = {v: [[] for _ in range(c.n - 1)] for v in sorted(c.vertices)}
+    for d in range(1, c.n):
+        for F in c.sorted_faces(d):
+            for v in F:
+                buckets[v][d - 1].append(F)
+    # Deleting a vertex v shared by two sorted tuples F < G keeps their order.
+    # Let j be the first position where they differ, so F[j] < G[j].  If v
+    # lies before j, the two still first differ at F[j] and G[j].  v cannot
+    # be F[j]: it would be less than G[j] and so absent from sorted G beyond
+    # j.  If v is G[j], F without v reads F[j] at position j while G without
+    # v reads G[j+1] > G[j] > F[j].  Otherwise v lies beyond j in both.  And
+    # F != G gives F - v != G - v.  So each bucket, in the order of the
+    # sorted faces of c, yields the link's faces sorted and duplicate-free.
+    for v in list(buckets):
+        lists = [
+            [F[:i] + F[i + 1 :] for F in faces for i in (F.index(v),)]
+            for faces in buckets.pop(v)
+        ]
+        yield v, Complex._from_sorted_faces(lists)
 
 
 def induced_subcomplex(c: Complex, vertex_set) -> list[tuple[int, ...]]:

@@ -42,8 +42,9 @@ class Disconnected(SphereBundleError):
     pass
 
 
-class DimensionTooLow(SphereBundleError):
-    pass
+class DimensionTooLow(SphereBundleError, ValueError):
+    """A dimension or facet size below what the construction needs; also a
+    ValueError, so callers that catch the built-in keep working."""
 
 
 # -- subdivision and stacked spheres ----------------------------------------

@@ -20,6 +20,7 @@ from math import comb
 from .complexes import Complex, graph_distance, is_pseudomanifold
 from .errors import (
     AlreadyOrientable,
+    DimensionTooLow,
     DistanceViolation,
     InfeasibleVertexCount,
     NonSimplicialQuotient,
@@ -162,7 +163,7 @@ def kuhnel_complex(n: int) -> Complex:
     modulo 2n+1, excluding the cyclically consecutive ones.
     """
     if n < 3:
-        raise ValueError("n must be at least 3")
+        raise DimensionTooLow("n must be at least 3")
     m = 2 * n + 1
 
     def is_consecutive(subset: frozenset[int]) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import Complex
-from .errors import NotFlippable, ScheduleInvalid, TargetOutOfRange
+from .errors import DimensionTooLow, NotFlippable, ScheduleInvalid, TargetOutOfRange
 from .handles import BundleType
 
 
@@ -107,7 +107,7 @@ def build_fill_schedule(c: Complex) -> FillSchedule:
     n, f0 = c.n, c.num_vertices
     if n < 4:
         # at n = 3 this move type can delete a vertex, so surfaces are out
-        raise ValueError("edge filling needs n >= 4")
+        raise DimensionTooLow("edge filling needs n >= 4")
     if f0 <= n or c.vertices != frozenset(range(1, f0 + 1)):
         raise ScheduleInvalid(
             f"edge filling needs f0 > n and vertex labels 1..f0 (n = {n}, f0 = {f0}, "
@@ -165,7 +165,7 @@ def feasible_region(k: int, f0: int, bundle: BundleType) -> tuple[int, int] | No
     nonorientable), and 2k+6 otherwise; below it the answer is None.
     """
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise DimensionTooLow("k must be at least 2")
     low = 2 * k + 5 if (k % 2 == 1) == bundle.orientable else 2 * k + 6
     if f0 < low:
         return None

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import Complex
-from .errors import NotAFacet, VertexInUse
+from .errors import DimensionTooLow, NotAFacet, VertexInUse
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class SubdivisionTrace:
 def boundary_of_simplex(n: int) -> Complex:
     """Boundary of the n-simplex: all n-subsets of {1..n+1}."""
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise DimensionTooLow("n must be at least 2")
     verts = range(1, n + 2)
     return Complex([tuple(v for v in verts if v != skip) for skip in verts])
 
@@ -82,7 +82,7 @@ def build_delta(n: int, i: int) -> tuple[Complex, SubdivisionTrace]:
     identifications can refer to labels directly.
     """
     if n < 3:
-        raise ValueError("n must be at least 3")
+        raise DimensionTooLow("n must be at least 3")
     if i < 1:
         raise ValueError("i must be at least 1")
     c = boundary_of_simplex(n)

@@ -40,6 +40,7 @@ from .complexes import (
     f_vector,
     is_pseudomanifold,
     link,
+    vertex_links,
 )
 from .errors import DimensionTooLow, InvalidWitness, NotPseudomanifold
 
@@ -60,15 +61,17 @@ def boundary_matrix(c: Complex, d: int) -> list[dict[int, int]]:
 
     Column j, for the j-th d-face F in sorted order, is a sparse
     {row: value} dict over the sorted (d-1)-faces: the face F with its i-th
-    vertex removed gets (-1)^i (the sorted-vertex orientation).  For d = 0
-    the operator is zero (unreduced chain complex) and every column is empty.
+    vertex removed gets (-1)^i (the sorted-vertex orientation).  Both orders
+    are the complex's one cached sorted list per dimension
+    (``Complex.sorted_faces``).  For d = 0 the operator is zero (unreduced
+    chain complex) and every column is empty.
     """
     if not 0 <= d <= c.n - 1:
         raise ValueError(f"d must be between 0 and {c.n - 1}")
     if d == 0:
         return [{} for _ in c.faces(0)]
-    index = {f: i for i, f in enumerate(sorted(c.faces(d - 1)))}
-    return [_boundary_row(F, index) for F in sorted(c.faces(d))]
+    index = {f: i for i, f in enumerate(c.sorted_faces(d - 1))}
+    return [_boundary_row(F, index) for F in c.sorted_faces(d)]
 
 
 def _normalise(row: dict[int, int]) -> dict[int, int]:
@@ -148,8 +151,9 @@ def betti_numbers(c: Complex) -> tuple[int, ...]:
     """Rational Betti numbers (beta_0, ..., beta_{n-1}), unreduced.
 
     The boundary maps are reduced from d = n-1 down to 1 with clearing: the
-    rows of the boundary of the d-faces are the d-faces in sorted order, the
-    same order that indexes the columns of the boundary of the (d+1)-faces,
+    rows of the boundary of the d-faces are the d-faces in sorted order (the
+    complex's one cached list, ``Complex.sorted_faces``), the same order
+    that indexes the columns of the boundary of the (d+1)-faces,
     and the d-faces that lead a pivot there are skipped, because their rows
     are combinations of earlier rows (the boundary of a boundary is zero).
     The remaining f_d - rank(boundary_{d+1}) d-faces are handed to the
@@ -161,7 +165,7 @@ def betti_numbers(c: Complex) -> tuple[int, ...]:
     is the number of pivots found.
     """
     n = c.n
-    faces = [sorted(c.faces(d)) for d in range(n)]
+    faces = [c.sorted_faces(d) for d in range(n)]
     ranks = [0] * (n + 1)  # rank of boundary_d; d = 0 and d = n are zero maps
     cleared: set[int] = set()
     for d in range(n - 1, 0, -1):
@@ -230,19 +234,20 @@ def _sphere_betti(dim: int) -> tuple[int, ...]:
 def manifold_evidence(c: Complex) -> ManifoldEvidence:
     """Pseudomanifold checks plus, per vertex, sphere homology of its link.
 
-    Vertex links get their Betti vector compared against the sphere of
-    dimension n-2 and an orientability check; each link's orientability and
-    failure detail are read from its one ``is_pseudomanifold`` walk.  Passing
-    is evidence of manifoldness only; full sphere recognition is out of
-    reach.
+    The vertex links come from one pass over the sorted faces of ``c``
+    (``vertex_links``), one link at a time, so no link enumerates or sorts
+    its own faces.  Each link gets its Betti vector compared against the
+    sphere of dimension n-2 and an orientability check; its orientability
+    and failure detail are read from its one ``is_pseudomanifold`` walk.
+    Passing is evidence of manifoldness only; full sphere recognition is out
+    of reach.
     """
     if c.n < 2:
         raise DimensionTooLow(f"vertex links need n >= 2, got n = {c.n}")
     pm = is_pseudomanifold(c)
     expected = _sphere_betti(c.n - 2)
     checks = []
-    for v in sorted(c.vertices):
-        lk = link(c, (v,))
+    for v, lk in vertex_links(c):
         betti = betti_numbers(lk)
         lk_pm = is_pseudomanifold(lk)
         ori = bool(lk_pm.orientable)

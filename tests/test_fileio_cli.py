@@ -1,12 +1,14 @@
 """Facet-list format round-trips, analysis reports, and the CLI surface."""
 
 import ast
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -216,6 +218,39 @@ def test_cli_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+def test_cli_dimension_guards_exit_one_with_a_named_error(capsys, monkeypatch):
+    sphere = "1 2 3\n1 2 4\n1 3 4\n2 3 4\n"
+    cases = (
+        (["build", "stacked", "--n", "2", "--steps", "3"], ""),
+        (["build", "miss", "--n", "2"], ""),
+        (["region", "--k", "1", "--vertices", "9", "--bundle", "orientable"], ""),
+        (["fill-edges", "--target-f1", "6"], sphere),
+    )
+    for argv, stdin in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("DimensionTooLow: ")
+
+
+def test_cli_parser_is_reused_after_a_usage_error(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build", "iss", "--n", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["build", "iss", "--n", "5", "--vertices", "12", "--bundle", "nonorientable"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    src = str(Path(sb.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-m", "spherebundles.cli", *argv],
+                           env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert fresh.returncode == 0
+    assert captured.out.encode() == fresh.stdout
+    assert captured.err.encode() == fresh.stderr
+
+
 def test_cli_analyze_zero_dimensional_exits_one(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
     assert cli.main(["analyze"]) == 1
@@ -247,3 +282,86 @@ def test_cli_parse_error_exits_one(tmp_path, capsys):
     bad.write_text("1 2 x\n", encoding="utf-8")
     assert cli.main(["analyze", "--in", str(bad)]) == 1
     assert "ParseError" in capsys.readouterr().err
+
+
+# sha256 of `analyze --json` for the ISS (5,12) and (6,20) of both bundles,
+# filled to the low, middle and complete f1, and (last key True) of the
+# double cover of each nonorientable one
+_ANALYSIS_SHA256 = {
+    (5, 12, "orientable", 60, False): (
+        "50e16a23c86ca4708911c70d7c74f4ae05a5fcef24c52cd74665d5f66f5ff02c"
+    ),
+    (5, 12, "orientable", 63, False): (
+        "6fccffdb1230a1d6602fdc33242558c334e32b3d1f0bc288640b6d09d95dd98e"
+    ),
+    (5, 12, "orientable", 66, False): (
+        "3b58560da39e250791819bf1fea6a74bc50193fce99489686ed0eca604b7f884"
+    ),
+    (5, 12, "nonorientable", 60, False): (
+        "bb547beaa458818ab9788699c6273ce60eef13f6147a6ada74877540db57240c"
+    ),
+    (5, 12, "nonorientable", 60, True): (
+        "16b8aef96c559abf40a827334f50e5fd56f051ac0b4d8f7ac50db8077e3dfb46"
+    ),
+    (5, 12, "nonorientable", 63, False): (
+        "417b0b0ea6fb51d962e92e9faabff8e2a0f0c1886a3e919d94c6309dd52668ad"
+    ),
+    (5, 12, "nonorientable", 63, True): (
+        "6cdcd7c1dc1581ce54419af1aaf76aeae38f907fa43ffc1a2fe02f1156bfeefa"
+    ),
+    (5, 12, "nonorientable", 66, False): (
+        "aa2ab77015742385c809d65b3fcf60019c3c7028dadcce6f654992b71a744ef5"
+    ),
+    (5, 12, "nonorientable", 66, True): (
+        "b1f6deec0490920e599d4bdc73f94a9785558e3631d7119bf3663edc6ccfd6b8"
+    ),
+    (6, 20, "orientable", 120, False): (
+        "34d4838308695c9deefeb32a8896ceaade516cd0c1a9c32726626a5cf7ccb94c"
+    ),
+    (6, 20, "orientable", 155, False): (
+        "ff36612db4dd426929d39dec85f363e4f3c649e8b2b79bb1d2d4f9edcee79703"
+    ),
+    (6, 20, "orientable", 190, False): (
+        "9e78f8743dcf1f86cc066bea918d4322a66ae1e0cae51a193cbd0c647b1426b5"
+    ),
+    (6, 20, "nonorientable", 120, False): (
+        "47a26dac764de4c1e3cabee50d95d52c6c1393e4c33dc57800fc0fa29ed4b0ca"
+    ),
+    (6, 20, "nonorientable", 120, True): (
+        "227c757de91f0968f08a71589386d058053a2e299750d550c075882fc2bbd49d"
+    ),
+    (6, 20, "nonorientable", 155, False): (
+        "4e6d9bd6943b7e75732e1c23aed0764acdf42af1d70eed13747c3cb1017067c6"
+    ),
+    (6, 20, "nonorientable", 155, True): (
+        "848aaf0546ac7d61db035fd8b3803e2423133df488431ad25daf5fa75fd81cc0"
+    ),
+    (6, 20, "nonorientable", 190, False): (
+        "d770ea6dc386292f4d7e03d83b7033446ab4d383a19f6cf135b4b2d4b8bd4171"
+    ),
+    (6, 20, "nonorientable", 190, True): (
+        "dc11acd3233887b7ba0d64481c668ece70318038d8cb1c7f28ed317f2cd03f8b"
+    ),
+}
+
+
+def test_analyze_json_bytes_are_pinned(capsys, monkeypatch):
+    def run(argv, stdin=""):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    def digest(document):
+        return hashlib.sha256(run(["analyze", "--json"], document).encode()).hexdigest()
+
+    got = {}
+    for n, f0 in ((5, 12), (6, 20)):
+        low, top = n * f0, comb(f0, 2)
+        for bundle in ("orientable", "nonorientable"):
+            iss = run(["build", "iss", "--n", str(n), "--vertices", str(f0), "--bundle", bundle])
+            for f1 in (low, (low + top) // 2, top):
+                filled = run(["fill-edges", "--target-f1", str(f1)], iss)
+                got[n, f0, bundle, f1, False] = digest(filled)
+                if bundle == "nonorientable":
+                    got[n, f0, bundle, f1, True] = digest(run(["double-cover"], filled))
+    assert got == _ANALYSIS_SHA256

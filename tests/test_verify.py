@@ -439,6 +439,64 @@ def test_manifold_evidence_detects_pinched_vertex():
     assert bad[0].betti[0] == 2  # the link falls apart into two spheres
 
 
+def _evidence_by_link_loop(c):
+    """manifold_evidence(c) rebuilt from one validated link(c, (v,)) per vertex."""
+    expected = verify._sphere_betti(c.n - 2)
+    checks = []
+    for v in sorted(c.vertices):
+        lk = sb.link(c, (v,))
+        betti = sb.betti_numbers(lk)
+        lk_pm = sb.is_pseudomanifold(lk)
+        ori = bool(lk_pm.orientable)
+        ok = betti == expected and ori
+        detail = lk_pm.detail
+        if not ok and not detail:
+            detail = f"link Betti {betti} vs sphere {expected}" if betti != expected else "link nonorientable"
+        checks.append(verify.LinkCheck(v, betti, ori, ok, detail))
+    return verify.ManifoldEvidence(sb.is_pseudomanifold(c), tuple(checks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_stacked_or_prefix, st.builds(_cover_of_prefix, st.integers(0, 6))))
+def test_link_pass_against_link(c):
+    seen = []
+    for v, lk in sb.vertex_links(c):
+        seen.append(v)
+        oracle = sb.link(c, (v,))
+        assert lk.facets == oracle.facets
+        assert lk.n == oracle.n and lk.vertices == oracle.vertices
+        for d in range(-1, lk.n + 1):
+            assert lk.sorted_faces(d) == sorted(oracle.faces(d))
+            assert lk.faces(d) == oracle.faces(d)
+    assert seen == sorted(c.vertices)
+    assert sb.manifold_evidence(c) == _evidence_by_link_loop(c)
+
+
+def test_link_pass_keeps_the_failure_details():
+    # a vertex whose link falls apart, and ridges of valence three
+    a = sb.boundary_of_simplex(3)
+    pinched = sb.Complex(a.facets + a.relabeled({2: 12, 3: 13, 4: 14}).facets)
+    valence3 = sb.Complex(a.facets + ((1, 2, 5), (1, 3, 5), (2, 3, 5)))
+    cases = {
+        pinched: {1: ((2, 2), "facet-adjacency graph has >= 2 components (3 of 6 reachable)")},
+        valence3: {
+            1: ((1, 2), "ridge (2,) lies in 3 facets"),
+            2: ((1, 2), "ridge (1,) lies in 3 facets"),
+            3: ((1, 2), "ridge (1,) lies in 3 facets"),
+        },
+    }
+    for c, bad in cases.items():
+        ev = sb.manifold_evidence(c)
+        assert ev == _evidence_by_link_loop(c)
+        assert {lc.vertex: (lc.betti, lc.detail) for lc in ev.link_checks if not lc.ok} == bad
+        assert all(lc.detail == "" for lc in ev.link_checks if lc.ok)
+
+
+def test_link_pass_needs_edges():
+    with pytest.raises(DimensionTooLow):
+        next(sb.vertex_links(sb.Complex([(1,), (2,)])))
+
+
 # -- double cover hypothesis for the classification -----------------------------------
 
 def test_nonorientable_covers_have_vanishing_beta2():
