@@ -75,8 +75,9 @@ class NonSimplicialQuotient(SphereBundleError):
     pass
 
 
-class InfeasibleVertexCount(SphereBundleError):
-    pass
+class InfeasibleVertexCount(SphereBundleError, ValueError):
+    """A vertex or step count the construction cannot realise; also a
+    ValueError, so callers that catch the built-in keep working."""
 
 
 class AlreadyOrientable(SphereBundleError):

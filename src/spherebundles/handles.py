@@ -15,15 +15,18 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from math import comb
 
 from .complexes import Complex, graph_distance, is_pseudomanifold
 from .errors import (
     AlreadyOrientable,
     DimensionTooLow,
+    Disconnected,
     DistanceViolation,
     InfeasibleVertexCount,
     NonSimplicialQuotient,
+    NotAFace,
     NotAFacet,
     NotTwoStacks,
     PairingNotOnTops,
@@ -79,17 +82,54 @@ class Pairing:
         return Pairing(tuple(new_pair if p == old_pair else p for p in self.pairs))
 
 
-def cross_pair_flags(sphere: Complex, pairing: Pairing) -> list[str]:
-    """Cross distances d(u_i, w_j), i != j, that fall below three."""
+def _distance_reader(sphere: Complex):
+    """``distance(u, w)``, equal to ``graph_distance(sphere, u, w)``.
+
+    The first call from a vertex u runs one breadth-first search from u to
+    every vertex it reaches; later calls from u read that table.  Raises
+    NotAFace and Disconnected as ``graph_distance`` does.
+    """
+    adj = sphere.adjacency()
+    tables: dict[int, dict[int, int]] = {}
+
+    def distance(u: int, w: int) -> int:
+        for x in (u, w):
+            if x not in adj:
+                raise NotAFace(f"{x} is not a vertex")
+        dist = tables.get(u)
+        if dist is None:
+            dist = tables[u] = {u: 0}
+            frontier = [u]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for y in adj[x]:
+                        if y not in dist:
+                            dist[y] = dist[x] + 1
+                            nxt.append(y)
+                frontier = nxt
+        if w not in dist:
+            raise Disconnected(f"no edge path from {u} to {w}")
+        return dist[w]
+
+    return distance
+
+
+def _cross_flags(pairing: Pairing, distance) -> list[str]:
     flags = []
     for i, (u, _) in enumerate(pairing.pairs):
         for j, (_, w) in enumerate(pairing.pairs):
             if i == j:
                 continue
-            d = graph_distance(sphere, u, w)
+            d = distance(u, w)
             if d < 3:
                 flags.append(f"cross pair ({u}, {w}) at distance {d}")
     return flags
+
+
+def cross_pair_flags(sphere: Complex, pairing: Pairing) -> list[str]:
+    """Cross distances d(u_i, w_j), i != j, that fall below three."""
+    return _cross_flags(pairing, _distance_reader(sphere))
 
 
 def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
@@ -100,6 +140,17 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
     quotient map that is injective on faces apart from the intended merges;
     the result must come out a pseudomanifold.  Expected count changes
     (vertices -n, facets -2, edges -C(n,2)) are verified on every call.
+
+    Distances come from one breadth-first search per u_i, read by both the
+    matched-pair check and the cross-pair notes.  The quotient map moves
+    only faces that meet the target facet F2; every other face is its own
+    image, so two unmoved faces never collide.  The faces that share an
+    image are therefore the moved faces with that image, plus the unmoved
+    face equal to it if there is one; only moved faces get an image.
+    Once every matched pair is at distance >= 3, no u_i is adjacent to any
+    w_j (u_i ~ w_j ~ w_i would give d(u_i, w_i) <= 2), so the only merge
+    left is the intended one of F2's faces onto F1's and the guard below
+    should never fire; it stays an explicit check.
     """
     n = sphere.n
     F1 = pairing.source_facet
@@ -110,26 +161,37 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
         raise NotAFacet(f"{F2} is not a facet of the sphere")
     if len(pairing.pairs) != n:
         raise NotAFacet(f"pairing has {len(pairing.pairs)} pairs, facets have {n} vertices")
+    distance = _distance_reader(sphere)
     for u, w in pairing.pairs:
-        d = graph_distance(sphere, u, w)
+        d = distance(u, w)
         if d < 3:
             raise DistanceViolation(f"identified pair ({u}, {w}) at distance {d}")
-    for flag in cross_pair_flags(sphere, pairing):
+    for flag in _cross_flags(pairing, distance):
         warnings.warn(flag, CrossPairDistanceWarning, stacklevel=2)
 
     relabel = {w: u for u, w in pairing.pairs}
-    image_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for d in range(n):
-        for face in sphere.faces(d):
-            img = tuple(sorted(relabel.get(v, v) for v in face))
-            if len(set(img)) != len(face):
-                raise NonSimplicialQuotient(f"face {face} degenerates to {img}")
-            image_of[face] = img
+    stars = sphere.stars()
+    # a face of a facet F is moved iff it differs from the face at the same
+    # positions of F's image; every moved face lies in a facet that meets F2
+    moved: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for i in sorted({i for w in F2 for i in stars[w]}):
+        F = sphere.facets[i]
+        G = tuple(relabel.get(v, v) for v in F)
+        if len(set(G)) != n:
+            raise NonSimplicialQuotient(f"face {F} degenerates to {tuple(sorted(G))}")
+        for d in range(1, n + 1):
+            for face, img in zip(combinations(F, d), combinations(G, d)):
+                if face != img and face not in moved:
+                    moved[face] = tuple(sorted(img))
     preimages: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for face, img in image_of.items():
+    for face, img in moved.items():
         preimages.setdefault(img, []).append(face)
     f1set, f2set = set(F1), set(F2)
     for img, pres in preimages.items():
+        # an image inside the facet F1 is a face without a search
+        if img not in moved and (f1set.issuperset(img) or _is_face(sphere, img)):
+            pres = pres + [img]  # the unmoved face equal to the image
+        pres.sort()
         if len(pres) == 1:
             continue
         if len(pres) == 2:
@@ -140,7 +202,7 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
                 continue  # the intended identification of matching subfaces
         raise NonSimplicialQuotient(f"faces {pres} all map to {img}")
 
-    new_facets = {image_of[F] for F in sphere.facets}
+    new_facets = {moved.get(F, F) for F in sphere.facets}
     new_facets.discard(F1)  # the identified facet is removed from the quotient
     result = Complex(new_facets)
 
@@ -154,6 +216,15 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
     if not pm.ok:
         raise NonSimplicialQuotient(f"quotient is not a pseudomanifold: {pm.detail}")
     return result
+
+
+def _is_face(c: Complex, face: tuple[int, ...]) -> bool:
+    # every two vertices of a face are adjacent, which rejects most
+    # non-faces before the star of one vertex is scanned
+    adj = c.adjacency()
+    if face[0] not in adj or not all(b in adj[a] for a, b in combinations(face, 2)):
+        return False
+    return any(set(face).issubset(c.facets[i]) for i in c.stars()[face[0]])
 
 
 def kuhnel_complex(n: int) -> Complex:
@@ -196,6 +267,7 @@ def swapped_pairing(n: int, f0: int) -> Pairing:
 
 
 VARIANTS = ("standard", "swapped")
+_PAIRINGS = {"standard": standard_pairing, "swapped": swapped_pairing}
 
 
 def build_iss_variant(n: int, f0: int, variant: str) -> Complex:
@@ -211,27 +283,28 @@ def build_iss_variant(n: int, f0: int, variant: str) -> Complex:
     if variant == "swapped" and f0 < 2 * n + 2:
         raise InfeasibleVertexCount(f"swapped pairing needs f0 >= {2 * n + 2}, got {f0}")
     sphere, _ = build_delta(n, f0)
-    pairing = standard_pairing(n, f0) if variant == "standard" else swapped_pairing(n, f0)
-    return handle_addition(sphere, pairing)
+    return handle_addition(sphere, _PAIRINGS[variant](n, f0))
 
 
 def build_iss(n: int, f0: int, bundle: BundleType) -> Complex:
     """Identified stacked sphere on f0 vertices with the requested bundle type.
 
-    Tries the standard pairing, then the swapped one, and keeps whichever
-    quotient's computed orientability matches the request; raises
-    InfeasibleVertexCount when neither does (e.g. the nonorientable bundle
-    at the odd-n minimum f0 = 2n+1).  Each attempt's warnings are held back,
-    and only those of the quotient returned are issued.
+    Builds the scheduled stacked sphere once, tries the standard pairing on
+    it, then the swapped one, and keeps whichever quotient's computed
+    orientability matches the request; raises InfeasibleVertexCount when
+    neither does (e.g. the nonorientable bundle at the odd-n minimum
+    f0 = 2n+1).  Each attempt's warnings are held back, and only those of
+    the quotient returned are issued.
     """
     if f0 < 2 * n + 1:
         raise InfeasibleVertexCount(f"need f0 >= {2 * n + 1}, got {f0}")
+    sphere, _ = build_delta(n, f0)
     for variant in VARIANTS:
         if variant == "swapped" and f0 < 2 * n + 2:
             continue
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            c = build_iss_variant(n, f0, variant)
+            c = handle_addition(sphere, _PAIRINGS[variant](n, f0))
         if verify.orientability(c) == bundle.orientable:
             for w in caught:
                 warnings.warn(w.message, stacklevel=2)
@@ -312,41 +385,48 @@ def orientation_double_cover(c: Complex) -> Complex:
     Two copies of every facet are glued along every ridge, staying on the
     same sheet when the adjacency is orientation-preserving and swapping
     sheets otherwise.  Face counts double and the cover is orientable.
-    Copies of vertex v are labelled v and v + max_label.
+    Copies of vertex v are labelled v, v + max_label, v + 2 max_label, ...
+
+    Each facet keeps, by the position of the dropped vertex, the facet
+    across that ridge and whether crossing it swaps sheets.  The copies of
+    v are the classes of (facet, sheet) pairs of v's star joined across the
+    ridges that contain v; a walk from each pair not yet reached, taken in
+    (facet, sheet) order, finds them, so copies are numbered in the order
+    of their least pair.
     """
     if verify.orientability(c):
         raise AlreadyOrientable("complex is already orientable")
 
-    parent: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-
-    def find(x):
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for ridge, ((i, pi), (j, pj)) in c.ridges().items():
+    n, facets = c.n, c.facets
+    across: list[list[tuple[int, int]]] = [[(0, 0)] * n for _ in facets]
+    for (i, pi), (j, pj) in c.ridges().values():
         flip = (pi + pj + 1) & 1  # swap sheets unless the dropped positions differ in parity
-        for s in (0, 1):
-            for v in ridge:
-                union((v, i, s), (v, j, s ^ flip))
+        across[i][pi] = (j, flip)
+        across[j][pj] = (i, flip)
 
     shift = max(c.vertices)
-    label: dict[tuple[int, int, int], int] = {}
+    # label[(2 i + s) n + q]: the copy of facets[i][q] on sheet s
+    label = [0] * (2 * n * len(facets))
     for v, star in c.stars().items():
-        roots = sorted({find((v, i, s)) for i in star for s in (0, 1)})
-        for which, root in enumerate(roots):
-            label[root] = v + which * shift
+        copies = 0
+        for start in star:
+            for sheet in (0, 1):
+                slot = (2 * start + sheet) * n + facets[start].index(v)
+                if label[slot]:
+                    continue
+                mine = label[slot] = v + copies * shift
+                copies += 1
+                todo = [(start, sheet)]
+                while todo:
+                    i, s = todo.pop()
+                    q = facets[i].index(v)
+                    for p, (j, flip) in enumerate(across[i]):
+                        if p == q:
+                            continue  # the ridge opposite v does not contain it
+                        t = s ^ flip
+                        slot = (2 * j + t) * n + facets[j].index(v)
+                        if not label[slot]:
+                            label[slot] = mine
+                            todo.append((j, t))
 
-    cover_facets = []
-    for i, F in enumerate(c.facets):
-        for s in (0, 1):
-            cover_facets.append(tuple(sorted(label[find((v, i, s))] for v in F)))
-    return Complex(cover_facets)
+    return Complex(label[k : k + n] for k in range(0, len(label), n))

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import Complex
-from .errors import DimensionTooLow, NotAFacet, VertexInUse
+from .errors import DimensionTooLow, InfeasibleVertexCount, NotAFacet, VertexInUse
 
 
 @dataclass(frozen=True)
@@ -80,19 +80,31 @@ def build_delta(n: int, i: int) -> tuple[Complex, SubdivisionTrace]:
     result has n+i vertices and (n+1) + (i-1)(n-1) facets.  The schedule is
     followed literally so that distance tables and downstream facet
     identifications can refer to labels directly.
+
+    The steps edit one facet set; only the finished sphere is built, and so
+    validated, as a ``Complex``.  Each step still raises NotAFacet if its
+    facet is missing, as ``subdivide_facet`` would; the new vertex exceeds
+    every label in use, so appending it keeps each cone facet sorted.
+    ``trace.replay()`` rebuilds the same sphere through ``subdivide_facet``.
     """
     if n < 3:
         raise DimensionTooLow("n must be at least 3")
     if i < 1:
-        raise ValueError("i must be at least 1")
-    c = boundary_of_simplex(n)
+        raise InfeasibleVertexCount(
+            f"i must be at least 1 (stacked sphere number i has n + i vertices), got {i}"
+        )
+    base = boundary_of_simplex(n)
+    facets = set(base.facets)
     steps = []
     for j in range(1, i):
         F = tuple(range(j + 1, n + j + 1))
         v = n + j + 1
-        c = subdivide_facet(c, F, v)
+        if F not in facets:
+            raise NotAFacet(f"{F} is not a facet")
+        facets.remove(F)
+        facets.update(F[:k] + F[k + 1 :] + (v,) for k in range(n))
         steps.append(SubdivisionStep(F, v))
-    return c, SubdivisionTrace(boundary_of_simplex(n), tuple(steps))
+    return Complex(facets), SubdivisionTrace(base, tuple(steps))
 
 
 @dataclass(frozen=True)

@@ -365,3 +365,81 @@ def test_analyze_json_bytes_are_pinned(capsys, monkeypatch):
                 if bundle == "nonorientable":
                     got[n, f0, bundle, f1, True] = digest(run(["double-cover"], filled))
     assert got == _ANALYSIS_SHA256
+
+
+# sha256 of stdout and of stderr (the note: lines) of the realise commands:
+# build iss of the (n, f0, bundle) triples of the pipeline benchmark, build
+# miss at n = 4..8, and one scheduled stacked sphere
+_REALISE_SHA256 = {
+    "iss --n 5 --vertices 14 --bundle orientable": (
+        "64ab06679960aec8e510ebbfbbc434b48fb7e7e784beee469636027c8413e013",
+        "b43a49849ec872afe685ecfa5be0e6d0244e120e43ad3e643031bbcb0759db5c",
+    ),
+    "iss --n 5 --vertices 14 --bundle nonorientable": (
+        "ab659974cd5695fe2ff0db3ba4eb2e1ee7d080f45057b6556e7a68f8c6be8902",
+        "b43a49849ec872afe685ecfa5be0e6d0244e120e43ad3e643031bbcb0759db5c",
+    ),
+    "iss --n 6 --vertices 20 --bundle orientable": (
+        "0ffdf4157b7b3f21e4c9e06e0423d466d4fda108595632559adb642fd49169fa",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "iss --n 6 --vertices 20 --bundle nonorientable": (
+        "fb60880a1331fc6bffd258394716979148ee8ff4fa539d93a789c9cb4d7056b1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "iss --n 7 --vertices 24 --bundle orientable": (
+        "127e7e8832854d6af3342487e3d6deab141be2f91c262668d3c3a131685dd76e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "iss --n 7 --vertices 24 --bundle nonorientable": (
+        "940e31c343e6b0ed7493bc67736a4bf0925586d31a2c5c779ba72de0acc4c4e5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "iss --n 8 --vertices 30 --bundle orientable": (
+        "823f9623b2b89b2ae946c163dfe7f44229e7fb22df22a3bb501a3c60d1a6a49a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "miss --n 4": (
+        "398d62d941363c10337d2f0cf9ceac15162863b6aed1f24074982dab3a34c053",
+        "0b3c6d34b2b3523923df930d029b87c0eaf2ba85b4d3718ab16fda46757d1be5",
+    ),
+    "miss --n 5": (
+        "19ad8234acbdd4389d15d033f996222e8f417ea123acf9354bcefcc34a135969",
+        "11188fb292cbfbbe597ecdab200f2ede838210142009e11b286458384fb1dac2",
+    ),
+    "miss --n 6": (
+        "c78829bf314eb80d87d1be144781c4604bbe2f3b1448aff8ea9e0884970c7487",
+        "de919e7cd635c957ecf764f660d8359e327c02e26badff087b3b822c5caf77f6",
+    ),
+    "miss --n 7": (
+        "38433da1b50ede2fdae236b3a4f2d27deede90f2d9216a1ca7b2bf61cbab6773",
+        "e0664481149ebaf6330408ae3ab128067f58693981ec0dfd251ff15ce7c76d85",
+    ),
+    "miss --n 8": (
+        "facaf1633bd7263166106af2eea7e84acbd67f85c0994f68d350ad4ebaba4939",
+        "1fbe1af1ece54016fb353e13cd45cedc632ac80b76541fce00c722472d77a899",
+    ),
+    "stacked --n 4 --steps 9": (
+        "78f7a7f23f013a2bf2c4e4d7bf2c362625862622f467b1d5caeaaf31d6415820",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+def test_realise_bytes_are_pinned(capsys):
+    got = {}
+    for command in _REALISE_SHA256:
+        assert cli.main(["build", *command.split()]) == 0
+        captured = capsys.readouterr()
+        got[command] = tuple(
+            hashlib.sha256(text.encode()).hexdigest() for text in (captured.out, captured.err)
+        )
+    assert got == _REALISE_SHA256
+
+
+def test_cli_build_stacked_needs_one_step(capsys):
+    for steps in ("0", "-3"):
+        assert cli.main(["build", "stacked", "--n", "4", "--steps", steps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("InfeasibleVertexCount: ")

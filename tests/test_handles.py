@@ -1,5 +1,9 @@
 """Handle addition, Kuehnel complexes, bundle builders, double covers."""
 
+import random
+import warnings
+from collections import Counter, deque
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -8,14 +12,17 @@ import spherebundles as sb
 from spherebundles import BundleType, complexes
 from spherebundles.errors import (
     AlreadyOrientable,
+    Disconnected,
     DistanceViolation,
     InfeasibleVertexCount,
+    NonSimplicialQuotient,
     NotAFacet,
     NotPseudomanifold,
     NotTwoStacks,
     PairingNotOnTops,
+    SphereBundleError,
 )
-from spherebundles.handles import CrossPairDistanceWarning
+from spherebundles.handles import CrossPairDistanceWarning, cross_pair_flags
 from spherebundles.stacked import SubdivisionStep, SubdivisionTrace
 
 
@@ -241,3 +248,142 @@ def test_double_cover_rejects_non_pseudomanifold():
     with pytest.raises(NotPseudomanifold) as exc:
         sb.orientation_double_cover(sb.Complex([(1, 2, 3)]))
     assert str(exc.value) == "ridge (1, 2) lies in 1 facets"
+
+
+# -- the quotient check against the whole-face-image reference ---------------------------
+
+def _reference_handle_addition(sphere, pairing):
+    """Handle addition with one image per face of every dimension.
+
+    Each distance is its own graph_distance call; returns the quotient and
+    the cross-pair notes.
+    """
+    n = sphere.n
+    F1, F2 = pairing.source_facet, pairing.target_facet
+    if F1 not in sphere.facets or F2 not in sphere.facets or len(pairing.pairs) != n:
+        raise NotAFacet("pairing is not between two facets")
+    for u, w in pairing.pairs:
+        d = sb.graph_distance(sphere, u, w)
+        if d < 3:
+            raise DistanceViolation(f"identified pair ({u}, {w}) at distance {d}")
+    flags = [
+        f"cross pair ({u}, {w}) at distance {d}"
+        for i, (u, _) in enumerate(pairing.pairs)
+        for j, (_, w) in enumerate(pairing.pairs)
+        if i != j and (d := sb.graph_distance(sphere, u, w)) < 3
+    ]
+    relabel = {w: u for u, w in pairing.pairs}
+    image_of = {}
+    for d in range(n):
+        for face in sphere.faces(d):
+            img = tuple(sorted(relabel.get(v, v) for v in face))
+            if len(set(img)) != len(face):
+                raise NonSimplicialQuotient(f"face {face} degenerates to {img}")
+            image_of[face] = img
+    preimages = {}
+    for face, img in image_of.items():
+        preimages.setdefault(img, []).append(face)
+    f1set, f2set = set(F1), set(F2)
+    for img, pres in preimages.items():
+        if len(pres) == 1:
+            continue
+        if len(pres) == 2:
+            a, b = pres
+            if (set(a) <= f1set and set(b) <= f2set) or (set(a) <= f2set and set(b) <= f1set):
+                continue
+        raise NonSimplicialQuotient(f"faces {pres} all map to {img}")
+    new_facets = {image_of[F] for F in sphere.facets}
+    new_facets.discard(F1)
+    result = sb.Complex(new_facets)
+    if (
+        result.num_vertices != sphere.num_vertices - n
+        or len(result.facets) != len(sphere.facets) - 2
+        or len(result.faces(1)) != len(sphere.faces(1)) - comb(n, 2)
+        or not sb.is_pseudomanifold(result).ok
+    ):
+        raise NonSimplicialQuotient("quotient counts or pseudomanifold check failed")
+    return result, flags
+
+
+def _outcome(build):
+    try:
+        return "ok", build(), ""
+    except SphereBundleError as exc:
+        return type(exc), None, str(exc)
+
+
+def _against_reference(sphere, pairing):
+    """'ok' or the exception type, after checking handle_addition against the reference."""
+    want, ref, want_message = _outcome(lambda: _reference_handle_addition(sphere, pairing))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, quotient, message = _outcome(lambda: sb.handle_addition(sphere, pairing))
+    assert got is not NonSimplicialQuotient
+    assert (got, message) == (want, want_message)
+    if got == "ok":
+        assert quotient.facets == ref[0].facets
+        assert [str(w.message) for w in caught] == ref[1]
+    return got
+
+
+def test_quotient_check_against_reference_on_scheduled_spheres():
+    # every permutation of F2 at n = 3, 4 and a seeded sample at n = 5
+    rng = random.Random(14)
+    seen = Counter()
+    for n, f0 in ((3, 7), (3, 8), (3, 9), (4, 9), (4, 10), (4, 11), (5, 12), (5, 13)):
+        sphere, _ = sb.build_delta(n, f0)
+        perms = list(permutations(range(f0 + 1, f0 + n + 1)))
+        if n == 5:
+            perms = rng.sample(perms, 24)
+        for ws in perms:
+            seen[_against_reference(sphere, sb.Pairing(tuple(zip(range(1, n + 1), ws))))] += 1
+    assert seen["ok"] >= 40 and seen[DistanceViolation] >= 60
+
+
+def _all_distances(c):
+    adj = c.adjacency()
+    table = {}
+    for u in c.vertices:
+        dist, queue = {u: 0}, deque([u])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        table[u] = dist
+    return table
+
+
+def test_quotient_check_against_reference_on_random_spheres():
+    # a facet F1 of a random stacked sphere, and facets F2 whose vertices
+    # are all at distance >= 2 or >= 3 from F1's, under random bijections:
+    # some pass the distance check and some do not
+    seen = Counter()
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.choice((3, 4))
+        sphere, _ = sb.random_stacked_sphere(n, rng.randint(30, 50), seed)
+        dist = _all_distances(sphere)
+        for F1 in rng.sample(sphere.facets, 6):
+            gap = {F: min(dist[u][w] for u in F1 for w in F) for F in sphere.facets}
+            if max(gap.values()) >= 3:
+                break
+        for least in (2, 3):
+            far = [F for F in sphere.facets if gap[F] >= least]
+            for F2 in rng.sample(far, min(2, len(far))):
+                ws = list(F2)
+                rng.shuffle(ws)
+                seen[_against_reference(sphere, sb.Pairing(tuple(zip(F1, ws))))] += 1
+    assert seen["ok"] >= 30 and seen[DistanceViolation] >= 20
+
+
+def test_handle_addition_on_a_disconnected_complex():
+    # two tetrahedron boundaries: the distance check finds no edge path
+    tetra = list(combinations(range(1, 5), 3))
+    sphere = sb.Complex(tetra + [tuple(v + 4 for v in F) for F in tetra])
+    pairing = sb.Pairing(((1, 5), (2, 6), (3, 7)))
+    with pytest.raises(Disconnected, match=r"^no edge path from 1 to 5$"):
+        sb.handle_addition(sphere, pairing)
+    with pytest.raises(Disconnected, match=r"^no edge path from 1 to 6$"):
+        cross_pair_flags(sphere, pairing)

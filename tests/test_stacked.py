@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import spherebundles as sb
-from spherebundles.errors import NotAFacet, VertexInUse
+from spherebundles.errors import DimensionTooLow, InfeasibleVertexCount, NotAFacet, VertexInUse
 from spherebundles.stacked import SubdivisionStep, SubdivisionTrace
 
 
@@ -56,6 +56,18 @@ def test_build_delta_counts_general():
             assert len(c.facets) == (n + 1) + (i - 1) * (n - 1)
             assert len(c.edges()) == comb(n + 1, 2) + (i - 1) * n
             assert tr.replay() == c
+
+
+def test_build_delta_needs_one_step():
+    # sphere number i has n + i vertices, so i < 1 names no sphere; the
+    # error is also a ValueError, as before
+    for i in (0, -2):
+        with pytest.raises(InfeasibleVertexCount):
+            sb.build_delta(4, i)
+        with pytest.raises(ValueError):
+            sb.build_delta(4, i)
+    with pytest.raises(DimensionTooLow):
+        sb.build_delta(2, 0)
 
 
 def test_stacked_h_vector_shape():

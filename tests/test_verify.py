@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -13,7 +14,7 @@ from sympy.polys.matrices import DomainMatrix
 
 import spherebundles as sb
 from spherebundles import BundleType, verify
-from spherebundles.errors import DimensionTooLow, NotPseudomanifold
+from spherebundles.errors import AlreadyOrientable, DimensionTooLow, NotPseudomanifold
 from spherebundles.verify import exact_rank
 
 
@@ -385,6 +386,69 @@ def test_double_cover_labels_are_pinned():
         text = sb.write(sb.orientation_double_cover(sb.build_miss(n)))
         assert len(text.splitlines()) == num_facets
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _reference_double_cover(c):
+    """The double cover by a union-find over (vertex, facet, sheet) triples,
+    copies of each vertex numbered in the order of their least triple."""
+    if verify.orientability(c):
+        raise AlreadyOrientable("complex is already orientable")
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for ridge, ((i, pi), (j, pj)) in c.ridges().items():
+        flip = (pi + pj + 1) & 1
+        for s in (0, 1):
+            for v in ridge:
+                rx, ry = find((v, i, s)), find((v, j, s ^ flip))
+                if rx != ry:
+                    parent[max(rx, ry)] = min(rx, ry)
+    shift = max(c.vertices)
+    label = {}
+    for v, star in c.stars().items():
+        roots = sorted({find((v, i, s)) for i in star for s in (0, 1)})
+        for which, root in enumerate(roots):
+            label[root] = v + which * shift
+    return sb.Complex(
+        [label[find((v, i, s))] for v in F] for i, F in enumerate(c.facets) for s in (0, 1)
+    )
+
+
+def _same_cover(c):
+    try:
+        want = sb.write(_reference_double_cover(c))
+    except (AlreadyOrientable, NotPseudomanifold) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            sb.orientation_double_cover(c)
+        return False
+    assert sb.write(sb.orientation_double_cover(c)) == want
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_stacked_or_prefix, st.builds(_cover_of_prefix, st.integers(0, 6))))
+def test_double_cover_against_union_find_on_random_complexes(c):
+    _same_cover(c)
+
+
+def test_double_cover_against_union_find():
+    rp2 = sb.Complex([(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                      (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)])
+    # RP^2 with a chain of subdivisions, then vertex 11 glued to vertex 1
+    # at distance 3: the link of 1 is two circles, so 1 has four copies
+    pinched, F = rp2, (1, 2, 3)
+    for v in range(7, 13):
+        pinched = sb.subdivide_facet(pinched, F, v)
+        F = tuple(sorted(F[1:] + (v,)))
+    pinched = pinched.relabeled({11: 1})
+    cases = [rp2, pinched, *_fill_prefixes(BundleType.NONORIENTABLE)]
+    cases += [sb.build_miss(n) for n in (4, 6, 8)]
+    assert all(_same_cover(c) for c in cases)
+    assert {1, 13, 25, 37} <= sb.orientation_double_cover(pinched).vertices
 
 
 def test_walk_reports_a_nonorientable_component_as_disconnected():
