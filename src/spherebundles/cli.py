@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from functools import cache
 
 from . import fileio, moves, verify
@@ -17,8 +16,8 @@ from .complexes import Complex
 from .errors import SphereBundleError
 from .handles import (
     BundleType,
-    build_iss,
-    build_miss,
+    construct_iss,
+    construct_miss,
     orientation_double_cover,
 )
 from .stacked import build_delta
@@ -99,17 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     if args.command == "build":
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            if args.what == "stacked":
-                c, _ = build_delta(args.n, args.steps)
-            elif args.what == "miss":
-                c = build_miss(args.n)
-            else:
-                c = build_iss(args.n, args.vertices, _bundle(args.bundle))
-        for w in caught:
-            print(f"note: {w.message}", file=sys.stderr)
-        _emit(c, args.out)
+        if args.what == "stacked":
+            _emit(build_delta(args.n, args.steps)[0], args.out)
+            return 0
+        if args.what == "miss":
+            made = construct_miss(args.n)
+        else:
+            made = construct_iss(args.n, args.vertices, _bundle(args.bundle))
+        for note in made.notes:
+            print(f"note: {note}", file=sys.stderr)
+        _emit(made.complex, args.out)
         return 0
 
     if args.command == "fill-edges":

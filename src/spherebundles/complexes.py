@@ -24,7 +24,6 @@ the complex:
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -371,26 +370,32 @@ def induced_subcomplex(c: Complex, vertex_set) -> list[tuple[int, ...]]:
     return sorted(inside, key=lambda f: (len(f), f))
 
 
-def graph_distance(c: Complex, u: int, v: int) -> int:
-    """BFS distance between two vertices in the 1-skeleton."""
+def distances_from(c: Complex, u: int) -> dict[int, int]:
+    """Edge-path distance from u to every vertex it reaches, by one BFS."""
     if u not in c.vertices:
         raise NotAFace(f"{u} is not a vertex")
-    if v not in c.vertices:
-        raise NotAFace(f"{v} is not a vertex")
-    if u == v:
-        return 0
     adj = c.adjacency()
     dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    raise Disconnected(f"no edge path from {u} to {v}")
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def graph_distance(c: Complex, u: int, v: int) -> int:
+    """BFS distance between two vertices in the 1-skeleton."""
+    dist = distances_from(c, u)
+    if v not in c.vertices:
+        raise NotAFace(f"{v} is not a vertex")
+    if v not in dist:
+        raise Disconnected(f"no edge path from {u} to {v}")
+    return dist[v]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ emits sorted facets of sorted vertices, one per line with LF endings, so
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .complexes import (
@@ -81,7 +81,6 @@ class AnalysisReport:
     links_ok: bool
     g2: int
     g2_bound: int
-    warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
         return {
@@ -102,7 +101,7 @@ class AnalysisReport:
             "links_ok": self.links_ok,
             "g2": self.g2,
             "g2_bound": self.g2_bound,
-            "warnings": list(self.warnings),
+            "warnings": [],  # kept so that analysis/1 keeps its fields
         }
 
     def to_json(self) -> str:
@@ -125,8 +124,6 @@ class AnalysisReport:
             f"vertex links look spherical: {self.links_ok}",
             f"g2: {self.g2} (bound {self.g2_bound})",
         ]
-        for w in self.warnings:
-            lines.append(f"warning: {w}")
         return "\n".join(lines) + "\n"
 
 

@@ -8,25 +8,27 @@ stacked sphere* (ISS); with the minimum vertex count 2n+1 it is a *minimal*
 one (MISS), combinatorially the Kuehnel complex.  Which of the two bundles
 appears is always computed from the quotient, never inferred from the
 pairing's parity.
+
+Constructions return a ``Construction`` record: the complex, the trace of
+its stacked sphere, the pairing kept and the cross-pair notes of that
+pairing.  ``sb.construct_iss(5, 12, sb.BundleType.NONORIENTABLE).notes``
+lists the six short cross distances of the swapped pairing it keeps.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
 
-from .complexes import Complex, graph_distance, is_pseudomanifold
+from .complexes import Complex, distances_from, graph_distance, is_pseudomanifold
 from .errors import (
     AlreadyOrientable,
     DimensionTooLow,
-    Disconnected,
     DistanceViolation,
     InfeasibleVertexCount,
     NonSimplicialQuotient,
-    NotAFace,
     NotAFacet,
     NotTwoStacks,
     PairingNotOnTops,
@@ -48,14 +50,6 @@ class BundleType(Enum):
     @property
     def orientable(self) -> bool:
         return self is BundleType.ORIENTABLE
-
-
-class CrossPairDistanceWarning(UserWarning):
-    """A non-matched pair of identified-facet vertices sits at distance < 3.
-
-    The construction only requires matched pairs to be far apart; short
-    cross distances are legal but worth surfacing in reports.
-    """
 
 
 @dataclass(frozen=True)
@@ -82,54 +76,37 @@ class Pairing:
         return Pairing(tuple(new_pair if p == old_pair else p for p in self.pairs))
 
 
-def _distance_reader(sphere: Complex):
-    """``distance(u, w)``, equal to ``graph_distance(sphere, u, w)``.
+@dataclass(frozen=True)
+class Construction:
+    """A handle-addition quotient with how it was made.
 
-    The first call from a vertex u runs one breadth-first search from u to
-    every vertex it reaches; later calls from u read that table.  Raises
-    NotAFace and Disconnected as ``graph_distance`` does.
+    ``complex`` is ``handle_addition(trace.replay(), pairing)``, and ``notes``
+    are the ``cross_pair_flags`` of that sphere and pairing.
     """
-    adj = sphere.adjacency()
-    tables: dict[int, dict[int, int]] = {}
 
-    def distance(u: int, w: int) -> int:
-        for x in (u, w):
-            if x not in adj:
-                raise NotAFace(f"{x} is not a vertex")
-        dist = tables.get(u)
-        if dist is None:
-            dist = tables[u] = {u: 0}
-            frontier = [u]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in adj[x]:
-                        if y not in dist:
-                            dist[y] = dist[x] + 1
-                            nxt.append(y)
-                frontier = nxt
-        if w not in dist:
-            raise Disconnected(f"no edge path from {u} to {w}")
-        return dist[w]
-
-    return distance
-
-
-def _cross_flags(pairing: Pairing, distance) -> list[str]:
-    flags = []
-    for i, (u, _) in enumerate(pairing.pairs):
-        for j, (_, w) in enumerate(pairing.pairs):
-            if i == j:
-                continue
-            d = distance(u, w)
-            if d < 3:
-                flags.append(f"cross pair ({u}, {w}) at distance {d}")
-    return flags
+    complex: Complex
+    trace: SubdivisionTrace
+    pairing: Pairing
+    notes: tuple[str, ...]
 
 
 def cross_pair_flags(sphere: Complex, pairing: Pairing) -> list[str]:
-    """Cross distances d(u_i, w_j), i != j, that fall below three."""
-    return _cross_flags(pairing, _distance_reader(sphere))
+    """Cross distances d(u_i, w_j), i != j, that fall below three.
+
+    Short cross distances are legal; the construction only needs matched
+    pairs to be far apart, so these are notes, not errors.
+    """
+    flags = []
+    for i, (u, _) in enumerate(pairing.pairs):
+        dist = distances_from(sphere, u)
+        for j, (_, w) in enumerate(pairing.pairs):
+            if i == j:
+                continue
+            # graph_distance raises NotAFace or Disconnected for a w not reached
+            d = dist[w] if w in dist else graph_distance(sphere, u, w)
+            if d < 3:
+                flags.append(f"cross pair ({u}, {w}) at distance {d}")
+    return flags
 
 
 def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
@@ -141,10 +118,9 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
     the result must come out a pseudomanifold.  Expected count changes
     (vertices -n, facets -2, edges -C(n,2)) are verified on every call.
 
-    Distances come from one breadth-first search per u_i, read by both the
-    matched-pair check and the cross-pair notes.  The quotient map moves
-    only faces that meet the target facet F2; every other face is its own
-    image, so two unmoved faces never collide.  The faces that share an
+    Each matched distance is one breadth-first search.  The quotient map
+    moves only faces that meet the target facet F2; every other face is its
+    own image, so two unmoved faces never collide.  The faces that share an
     image are therefore the moved faces with that image, plus the unmoved
     face equal to it if there is one; only moved faces get an image.
     Once every matched pair is at distance >= 3, no u_i is adjacent to any
@@ -161,13 +137,10 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
         raise NotAFacet(f"{F2} is not a facet of the sphere")
     if len(pairing.pairs) != n:
         raise NotAFacet(f"pairing has {len(pairing.pairs)} pairs, facets have {n} vertices")
-    distance = _distance_reader(sphere)
     for u, w in pairing.pairs:
-        d = distance(u, w)
+        d = graph_distance(sphere, u, w)
         if d < 3:
             raise DistanceViolation(f"identified pair ({u}, {w}) at distance {d}")
-    for flag in _cross_flags(pairing, distance):
-        warnings.warn(flag, CrossPairDistanceWarning, stacklevel=2)
 
     relabel = {w: u for u, w in pairing.pairs}
     stars = sphere.stars()
@@ -286,38 +259,46 @@ def build_iss_variant(n: int, f0: int, variant: str) -> Complex:
     return handle_addition(sphere, _PAIRINGS[variant](n, f0))
 
 
-def build_iss(n: int, f0: int, bundle: BundleType) -> Complex:
+def construct_iss(n: int, f0: int, bundle: BundleType) -> Construction:
     """Identified stacked sphere on f0 vertices with the requested bundle type.
 
     Builds the scheduled stacked sphere once, tries the standard pairing on
     it, then the swapped one, and keeps whichever quotient's computed
     orientability matches the request; raises InfeasibleVertexCount when
     neither does (e.g. the nonorientable bundle at the odd-n minimum
-    f0 = 2n+1).  Each attempt's warnings are held back, and only those of
-    the quotient returned are issued.
+    f0 = 2n+1).  The notes are those of the pairing kept.
     """
     if f0 < 2 * n + 1:
         raise InfeasibleVertexCount(f"need f0 >= {2 * n + 1}, got {f0}")
-    sphere, _ = build_delta(n, f0)
+    sphere, trace = build_delta(n, f0)
     for variant in VARIANTS:
         if variant == "swapped" and f0 < 2 * n + 2:
             continue
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            c = handle_addition(sphere, _PAIRINGS[variant](n, f0))
+        pairing = _PAIRINGS[variant](n, f0)
+        c = handle_addition(sphere, pairing)
         if verify.orientability(c) == bundle.orientable:
-            for w in caught:
-                warnings.warn(w.message, stacklevel=2)
-            return c
+            return Construction(c, trace, pairing, tuple(cross_pair_flags(sphere, pairing)))
     raise InfeasibleVertexCount(
         f"no pairing on f0 = {f0} yields the {bundle.value} bundle (n = {n})"
     )
 
 
-def build_miss(n: int) -> Complex:
+def construct_miss(n: int) -> Construction:
     """Minimal identified stacked sphere: 2n+1 vertices, the Kuehnel complex."""
-    sphere, _ = build_delta(n, 2 * n + 1)
-    return handle_addition(sphere, standard_pairing(n, 2 * n + 1))
+    sphere, trace = build_delta(n, 2 * n + 1)
+    pairing = standard_pairing(n, 2 * n + 1)
+    c = handle_addition(sphere, pairing)
+    return Construction(c, trace, pairing, tuple(cross_pair_flags(sphere, pairing)))
+
+
+def build_iss(n: int, f0: int, bundle: BundleType) -> Complex:
+    """The complex of ``construct_iss(n, f0, bundle)``."""
+    return construct_iss(n, f0, bundle).complex
+
+
+def build_miss(n: int) -> Complex:
+    """The complex of ``construct_miss(n)``."""
+    return construct_miss(n).complex
 
 
 def two_stack_reduction(

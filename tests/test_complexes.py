@@ -325,8 +325,16 @@ def test_graph_distance_is_a_metric():
 
 def test_graph_distance_disconnected():
     c = sb.from_facets([{1, 2, 3}, {4, 5, 6}])
-    with pytest.raises(Disconnected):
+    with pytest.raises(Disconnected, match=r"^no edge path from 1 to 4$"):
         sb.graph_distance(c, 1, 4)
+
+
+def test_graph_distance_names_a_missing_vertex_u_first():
+    c = boundary4()
+    with pytest.raises(NotAFace, match=r"^98 is not a vertex$"):
+        sb.graph_distance(c, 98, 99)
+    with pytest.raises(NotAFace, match=r"^99 is not a vertex$"):
+        sb.graph_distance(c, 1, 99)
 
 
 # -- pseudomanifold -------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Handle addition, Kuehnel complexes, bundle builders, double covers."""
 
 import random
-import warnings
 from collections import Counter, deque
 from itertools import combinations, permutations
 from math import comb
@@ -22,7 +21,8 @@ from spherebundles.errors import (
     PairingNotOnTops,
     SphereBundleError,
 )
-from spherebundles.handles import CrossPairDistanceWarning, cross_pair_flags
+from spherebundles import handles
+from spherebundles.handles import cross_pair_flags
 from spherebundles.stacked import SubdivisionStep, SubdivisionTrace
 
 
@@ -60,8 +60,48 @@ def test_handle_addition_requires_facets():
 
 def test_handle_addition_flags_short_cross_pairs():
     sphere, _ = sb.build_delta(4, 9)
-    with pytest.warns(CrossPairDistanceWarning):
-        sb.handle_addition(sphere, sb.standard_pairing(4, 9))
+    pairing = sb.standard_pairing(4, 9)
+    assert cross_pair_flags(sphere, pairing)
+    assert sb.construct_miss(4).notes == tuple(cross_pair_flags(sphere, pairing))
+
+
+def test_quotient_collision_guard(monkeypatch):
+    # (1, 5) and (2, 6) are edges, so the pairing leaves (2, 5) and (5, 6)
+    # to collide with (1, 2); reporting every distance as 3 lets it through
+    # to the guard
+    monkeypatch.setattr(handles, "graph_distance", lambda c, u, w: 3)
+    sphere, _ = sb.build_delta(3, 5)
+    pairing = sb.Pairing(((1, 5), (2, 6), (3, 8)))
+    with pytest.raises(NonSimplicialQuotient) as exc:
+        sb.handle_addition(sphere, pairing)
+    assert str(exc.value) == "faces [(1, 2), (2, 5), (5, 6)] all map to (1, 2)"
+
+
+# the (n, f0, bundle) triples of the pipeline benchmark
+_PIPELINE_TRIPLES = tuple(
+    (n, f0, bundle)
+    for n, f0 in ((5, 14), (6, 20), (7, 24), (8, 30))
+    for bundle in BundleType
+    if (n, f0, bundle) != (8, 30, BundleType.NONORIENTABLE)
+)
+
+
+def test_construction_record_replays():
+    cases = [(sb.construct_iss(*t), sb.build_iss(*t)) for t in _PIPELINE_TRIPLES]
+    cases += [(sb.construct_miss(n), sb.build_miss(n)) for n in range(3, 9)]
+    for made, built in cases:
+        assert built == made.complex
+        sphere = made.trace.replay()
+        assert sb.handle_addition(sphere, made.pairing) == made.complex
+        assert made.notes == tuple(cross_pair_flags(sphere, made.pairing))
+
+
+def test_nonorientable_5_12_keeps_the_swapped_pairing():
+    # the standard pairing on (5,12) gives the orientable bundle, so the
+    # nonorientable record comes from the swapped one
+    made = sb.construct_iss(5, 12, BundleType.NONORIENTABLE)
+    assert made.pairing == sb.swapped_pairing(5, 12)
+    assert len(made.notes) == len(set(made.notes)) == 6
 
 
 def test_swapped_pairs_opposite_orientability_one_extra_vertex():
@@ -315,14 +355,12 @@ def _outcome(build):
 def _against_reference(sphere, pairing):
     """'ok' or the exception type, after checking handle_addition against the reference."""
     want, ref, want_message = _outcome(lambda: _reference_handle_addition(sphere, pairing))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got, quotient, message = _outcome(lambda: sb.handle_addition(sphere, pairing))
+    got, quotient, message = _outcome(lambda: sb.handle_addition(sphere, pairing))
     assert got is not NonSimplicialQuotient
     assert (got, message) == (want, want_message)
     if got == "ok":
         assert quotient.facets == ref[0].facets
-        assert [str(w.message) for w in caught] == ref[1]
+        assert cross_pair_flags(sphere, pairing) == ref[1]
     return got
 
 
