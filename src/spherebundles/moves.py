@@ -5,13 +5,22 @@ The only move used here replaces the ball made of the two facets {a} + B
 |B| = n - 1.  It keeps the vertex set and homeomorphism type and adds exactly
 the edge A.  Replaying the scheduled sequence of such moves on a freshly
 identified stacked sphere realises every edge count between n*f0 and the
-complete graph.  Execution is self-verifying: flippability is re-checked
-before every scheduled move instead of trusting the inductive argument.
+complete graph.
+
+Execution is self-verifying instead of trusting the inductive argument.
+Flippability is checked before every move, and the move's effect is checked
+locally, from the cone facets, the join facets and the facets that stay: it
+must keep the vertex set and add exactly the edge A.  So the edge set is
+carried forward as edges + {A}, never enumerated again.  ``apply_move``
+validates one ``Complex`` per move; ``fill_to`` edits one facet set across
+the whole prefix and validates once, at the end.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .complexes import Complex
@@ -70,21 +79,53 @@ def is_flippable(c: Complex, mv: MoveSpec) -> bool:
     return cone1 in c.facets and cone2 in c.facets
 
 
+def _skeleton(facets) -> set[tuple[int, ...]]:
+    """The vertices and edges of ``facets``, as 1- and 2-tuples."""
+    return {s for F in facets for k in (1, 2) for s in combinations(F, k)}
+
+
+def _flip(facets: set, edges: set, mv: MoveSpec) -> None:
+    """Apply ``mv`` in place to a facet set and its edge set.
+
+    Raises NotFlippable, leaving both sets as they were, unless the move
+    keeps the vertex set and adds exactly the edge A.  That is decided
+    locally: both cone facets {a} + B must be present and A must be a
+    non-edge, and then every vertex and edge of the cones must lie in a join
+    facet A + (B - {b}) or in a facet that stays.  The join covers all of
+    them once |B| >= 3.  At n = 3 the flip drops the edge B, and at n = 2
+    the vertex b and its two edges, unless another facet holds them.
+    """
+    a1, a2 = mv.a
+    cones = {tuple(sorted((a1,) + mv.b)), tuple(sorted((a2,) + mv.b))}
+    if mv.a in edges or not cones <= facets:
+        raise NotFlippable(f"{mv.to_text()} did not add exactly one edge")
+    joins = {tuple(sorted(mv.a + mv.b[:i] + mv.b[i + 1 :])) for i in range(len(mv.b))}
+    lost = _skeleton(cones) - _skeleton(joins)
+    if lost:
+        lost -= _skeleton(F for F in facets if F not in cones)
+    if any(len(s) == 1 for s in lost):
+        raise NotFlippable(f"{mv.to_text()} changed the vertex set")
+    if lost:
+        raise NotFlippable(f"{mv.to_text()} did not add exactly one edge")
+    facets -= cones
+    facets |= joins
+    edges.add(mv.a)
+
+
 def apply_move(c: Complex, mv: MoveSpec) -> Complex:
-    """Replace the two cone facets {a} + B by the n-1 facets A + (B - {b})."""
+    """Replace the two cone facets {a} + B by the n-1 facets A + (B - {b}).
+
+    The result is a validated ``Complex``; its edge index is the input's
+    edges plus A, carried over rather than enumerated again.
+    """
     if not is_flippable(c, mv):
         raise NotFlippable(mv.to_text())
-    a1, a2 = mv.a
-    gone = {tuple(sorted((a1,) + mv.b)), tuple(sorted((a2,) + mv.b))}
-    out = [F for F in c.facets if F not in gone]
-    for b in mv.b:
-        out.append(tuple(sorted(set(mv.a) | (set(mv.b) - {b}))))
-    result = Complex(out)
-    # the move must add exactly the edge A and keep the vertex set
+    facets, edges = set(c.facets), set(c.faces(1))
+    _flip(facets, edges, mv)
+    result = Complex(facets)
     if result.vertices != c.vertices:
         raise NotFlippable(f"{mv.to_text()} changed the vertex set")
-    if len(result.faces(1)) != len(c.faces(1)) + 1:
-        raise NotFlippable(f"{mv.to_text()} did not add exactly one edge")
+    result._faces[1] = frozenset(edges)  # _flip showed these are exactly its edges
     return result
 
 
@@ -137,7 +178,11 @@ def build_fill_schedule(c: Complex) -> FillSchedule:
 
 
 def fill_to(c: Complex, schedule: FillSchedule, target_f1: int) -> Complex:
-    """Replay the schedule prefix that brings the edge count to ``target_f1``."""
+    """Replay the schedule prefix that brings the edge count to ``target_f1``.
+
+    The prefix edits one facet set and one edge set, and one ``Complex`` is
+    validated at the end; ``c`` itself is returned when no move is needed.
+    """
     f0 = c.num_vertices
     f1 = len(c.faces(1))
     if not f1 <= target_f1 <= comb(f0, 2):
@@ -149,13 +194,34 @@ def fill_to(c: Complex, schedule: FillSchedule, target_f1: int) -> Complex:
         raise TargetOutOfRange(
             f"schedule provides {len(schedule.moves)} moves, {steps} needed"
         )
-    for idx in range(steps):
-        mv = schedule.moves[idx]
+    if steps == 0:
+        return c
+    facets, edges = set(c.facets), set(c.faces(1))
+    for idx, mv in enumerate(schedule.moves[:steps]):
+        try:
+            _flip(facets, edges, mv)
+        except NotFlippable as exc:
+            raise ScheduleInvalid(f"move {idx} not flippable: {mv.to_text()}") from exc
+    result = Complex(facets)
+    if result.vertices != c.vertices or result.faces(1) != edges:
+        raise ScheduleInvalid(
+            f"replaying {steps} moves changed the vertex set or did not add exactly "
+            f"{steps} edges"
+        )
+    return result
+
+
+def iter_fill(c: Complex, schedule: FillSchedule) -> Iterator[Complex]:
+    """Yield ``c`` and then every prefix of the schedule's replay: prefix t
+    is the validated ``Complex`` that ``apply_move`` returns, with
+    f1 = f1(c) + t."""
+    yield c
+    for idx, mv in enumerate(schedule.moves):
         try:
             c = apply_move(c, mv)
         except NotFlippable as exc:
             raise ScheduleInvalid(f"move {idx} not flippable: {mv.to_text()}") from exc
-    return c
+        yield c
 
 
 def feasible_region(k: int, f0: int, bundle: BundleType) -> tuple[int, int] | None:

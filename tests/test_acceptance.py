@@ -27,12 +27,8 @@ def _replay(f0: int, variant: str) -> list[tuple[int, sb.Complex]]:
     key = (f0, variant)
     if key not in _REPLAYS:
         c = sb.build_iss_variant(5, f0, variant)
-        sched = sb.build_fill_schedule(c)
-        states = [(len(c.edges()), c)]
-        for mv in sched.moves:
-            c = sb.apply_move(c, mv)
-            states.append((len(c.edges()), c))
-        _REPLAYS[key] = states
+        prefixes = sb.iter_fill(c, sb.build_fill_schedule(c))
+        _REPLAYS[key] = [(len(x.edges()), x) for x in prefixes]
     return _REPLAYS[key]
 
 

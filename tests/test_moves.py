@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherebundles as sb
 from spherebundles import BundleType, MoveSpec, moves
@@ -98,6 +100,88 @@ def test_apply_move_checks_its_result(iss_std, monkeypatch):
     monkeypatch.setattr(moves, "is_flippable", lambda c, mv: True)
     with pytest.raises(NotFlippable, match="did not add exactly one edge"):
         sb.apply_move(once, mv)
+
+
+def test_apply_move_on_a_surface_loses_the_edge_b():
+    # at n = 3 the cone facets are the only triangles on the edge B, so every
+    # flip drops B and adds A: the edge count stays, and the move is refused
+    c, _ = sb.random_stacked_sphere(3, 4, seed=2)
+    refused = 0
+    for a in combinations(sorted(c.vertices), 2):
+        if a in c.edges():
+            continue
+        for b in combinations(sorted(c.vertices - set(a)), 2):
+            mv = MoveSpec(a, b)
+            if not sb.is_flippable(c, mv):
+                continue
+            with pytest.raises(NotFlippable) as exc:
+                sb.apply_move(c, mv)
+            assert str(exc.value) == f"{mv.to_text()} did not add exactly one edge"
+            refused += 1
+    assert refused == 9
+
+
+def test_apply_move_keeps_an_edge_held_by_a_third_facet():
+    # not a pseudomanifold: B = {2, 3} also lies in (2, 3, 5), so it survives
+    # the flip and the move adds exactly the edge A
+    c = sb.Complex([(1, 2, 3), (2, 3, 4), (2, 3, 5)])
+    out = sb.apply_move(c, MoveSpec((1, 4), (2, 3)))
+    assert out.facets == ((1, 2, 4), (1, 3, 4), (2, 3, 5))
+    assert out.edges() == sb.Complex(list(out.facets)).edges() == c.edges() | {(1, 4)}
+
+
+def test_apply_move_loses_a_vertex_on_a_cycle():
+    # n = 2: flipping A = {1, 3} over B = {2} on the 4-cycle removes vertex 2
+    square = sb.Complex([(1, 2), (2, 3), (3, 4), (1, 4)])
+    with pytest.raises(NotFlippable, match="changed the vertex set"):
+        sb.apply_move(square, MoveSpec((1, 3), (2,)))
+
+
+def test_fill_to_checks_its_result(iss_std, monkeypatch):
+    # a flip that claims the edge A but leaves the facets alone must be
+    # caught by the one validation at the end of the replay
+    def claims_the_edge(facets, edges, mv):
+        edges.add(mv.a)
+
+    monkeypatch.setattr(moves, "_flip", claims_the_edge)
+    with pytest.raises(ScheduleInvalid, match="^replaying 2 moves changed the vertex set"):
+        sb.fill_to(iss_std, sb.build_fill_schedule(iss_std), 62)
+
+
+_REPLAYS = {}
+
+
+def _replay(n, f0, bundle):
+    """The (n, f0) ISS of the bundle, its schedule and every prefix."""
+    key = (n, f0, bundle)
+    if key not in _REPLAYS:
+        c = sb.build_iss(n, f0, bundle)
+        sched = sb.build_fill_schedule(c)
+        _REPLAYS[key] = (sched, list(sb.iter_fill(c, sched)))
+    return _REPLAYS[key]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(((5, 12), (6, 20))), st.sampled_from(tuple(BundleType)), st.data())
+def test_replay_prefixes_match_fresh_complexes(size, bundle, data):
+    # oracle: a freshly validated Complex on the same facets recomputes the
+    # edges that apply_move carried forward and fill_to replayed
+    n, f0 = size
+    sched, prefixes = _replay(n, f0, bundle)
+    t = data.draw(st.integers(0, len(sched)), label="prefix")
+    x = prefixes[t]
+    fresh = sb.Complex(list(x.facets))
+    assert (x.facets, x.vertices, x.faces(1)) == (fresh.facets, fresh.vertices, fresh.faces(1))
+    assert len(x.faces(1)) == n * f0 + t
+    filled = sb.fill_to(prefixes[0], sched, n * f0 + t)
+    assert (filled.facets, filled.vertices, filled.faces(1)) == (x.facets, x.vertices, x.faces(1))
+
+
+def test_iter_fill_reports_the_move_it_cannot_make(iss_std, iss_sw):
+    sched = sb.build_fill_schedule(iss_std)
+    with pytest.raises(ScheduleInvalid, match=r"^move \d+ not flippable: A: ") as exc:
+        list(sb.iter_fill(iss_sw, sched))
+    assert isinstance(exc.value.__cause__, NotFlippable)
 
 
 # -- schedules ------------------------------------------------------------------

@@ -48,11 +48,7 @@ def _fill_prefixes(bundle):
     """The (5,12) ISS of the bundle and every prefix of its fill schedule."""
     if bundle not in _FILLS:
         c = sb.build_iss(5, 12, bundle)
-        states = [c]
-        for mv in sb.build_fill_schedule(c).moves:
-            c = sb.apply_move(c, mv)
-            states.append(c)
-        _FILLS[bundle] = states
+        _FILLS[bundle] = list(sb.iter_fill(c, sb.build_fill_schedule(c)))
     return _FILLS[bundle]
 
 
