@@ -6,6 +6,16 @@ are *not* required to be contiguous, which lets quotient and identification
 maps compose without relabelling.  Every operation here is a pure function;
 complexes are safe to share read-only between concurrent tasks.
 
+Validation runs as a few whole-list passes, each at C speed: facet widths,
+the type of every label occurrence, the least label, and repeated vertices
+(ruled out already when every facet comes as a strictly increasing tuple).
+A facet passed as a plain tuple already in order is kept as the caller's
+own object, not copied; tuples are immutable, so sharing one between the
+caller and the complex, or between a complex and the next one made from
+its facets, is safe, and a replay that keeps every prefix holds each facet
+once.  The facet-by-facet scan runs only when a pass fails, to name the
+first fault.
+
 Four indices are derived from the facets, each on first use and cached on
 the complex:
 
@@ -28,6 +38,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
+from operator import lt
 
 from .errors import (
     DimensionTooLow,
@@ -48,6 +59,12 @@ class Complex:
     constructions naturally produce coincident facets that must collapse to
     one.  Instances are immutable; derived data (faces, ridges, stars,
     adjacency, the pseudomanifold report) is cached lazily.
+
+    The constructor validates in whole-list passes and keeps each sorted
+    plain-tuple facet as the caller's object; any other facet becomes
+    ``tuple(sorted(f))``.  Only when a pass fails does the facet-by-facet
+    scan run, which raises the same first fault, with the same message, as
+    checking each facet in turn.
     """
 
     __slots__ = (
@@ -55,19 +72,25 @@ class Complex:
     )
 
     def __init__(self, facets):
-        canon = sorted({tuple(sorted(f)) for f in facets})
-        widths = {len(f) for f in canon}
-        if len(widths) > 1:
-            raise MixedCardinality(f"facet sizes {sorted(widths)} are mixed")
-        for f in canon:
-            if len(set(f)) != len(f):
-                raise ValueError(f"facet {f} repeats a vertex")
-            for v in f:
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise NonPositiveLabel(f"vertex label {v!r} is not a positive integer")
+        facets = list(facets)
+        increasing = _increasing(facets)
+        # Of equal facets, such as (1, 2) and (True, 2), the set keeps the first.
+        canon = sorted(set(facets) if increasing else set(map(_canonical, facets)))
+        n = len(canon[0]) if canon else 0
+        vertices = frozenset(chain.from_iterable(canon))
+        # Whole-list passes; `and` stops at the first that fails, and only
+        # then does the per-facet scan run, to raise the first fault in order.
+        # Int labels that strictly increase in every facet repeat none.
+        if not (
+            set(map(len, canon)) == {n}
+            and set(map(type, chain.from_iterable(canon))) == {int}
+            and min(vertices) >= 1
+            and (increasing or sum(map(len, map(set, canon))) == n * len(canon))
+        ):
+            _scan(canon)
         self._facets = tuple(canon)
-        self._n = len(canon[0]) if canon else 0
-        self._vertices = frozenset(v for f in canon for v in f)
+        self._n = n
+        self._vertices = vertices
         self._faces = [None] * self._n  # one face index per dimension
         self._ridges = None
         self._stars = None
@@ -199,6 +222,48 @@ class Complex:
 
     def __repr__(self):
         return f"Complex(n={self._n}, vertices={self.num_vertices}, facets={len(self._facets)})"
+
+
+def _increasing(facets: list) -> bool:
+    """True if every facet is a plain tuple of one width whose labels
+    strictly increase: each is then canonical as it stands and repeats no
+    vertex.  Decided column by column, so no facet is visited one by one.
+    """
+    if set(map(type, facets)) != {tuple} or len(set(map(len, facets))) != 1:
+        return False
+    columns = list(zip(*facets))
+    try:
+        return all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
+    except TypeError:  # unorderable labels; the facet-by-facet path names them
+        return False
+
+
+def _canonical(f) -> tuple:
+    """``f`` itself if it is a plain tuple already in order, else ``tuple(sorted(f))``.
+
+    The comparisons are the ones ``sorted`` makes first, in the same order,
+    so an unorderable facet raises the same error either way.
+    """
+    if type(f) is tuple and not any(map(lt, f[1:], f)):
+        return f
+    return tuple(sorted(f))
+
+
+def _scan(canon: list[tuple]) -> None:
+    """Raise the first fault of ``canon`` facet by facet: mixed widths, then
+    in facet order a repeated vertex or a label that is not a positive int.
+
+    Accepts int subclasses other than bool, such as IntEnum members.
+    """
+    widths = {len(f) for f in canon}
+    if len(widths) > 1:
+        raise MixedCardinality(f"facet sizes {sorted(widths)} are mixed")
+    for f in canon:
+        if len(set(f)) != len(f):
+            raise ValueError(f"facet {f} repeats a vertex")
+        for v in f:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise NonPositiveLabel(f"vertex label {v!r} is not a positive integer")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Core complex type, f/h/g arithmetic, links, distances, pseudomanifold checks."""
 
 import random
+from enum import IntEnum
 from math import comb
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherebundles as sb
 from spherebundles.errors import (
@@ -49,6 +52,97 @@ def test_from_facets_empty():
 def test_from_facets_nonpositive_label():
     with pytest.raises(NonPositiveLabel):
         sb.from_facets([{0, 1, 2}])
+
+
+class _Label(IntEnum):
+    TWO = 2
+    THREE = 3
+
+
+# ints, labels that fail, labels equal to an int (True == 1 == 1.0), an int
+# subclass that passes, unorderable labels and a big int
+_LABELS = (1, 2, 3, 4, 5, 6, 0, -1, True, False, 1.0, 2.5, _Label.TWO, _Label.THREE,
+           "x", None, 10 ** 20)
+_KINDS = ("tuple", "list", "generator", "frozenset")
+
+
+def _reference_complex(facets):
+    # oracle: the facet-by-facet constructor loop, canonicalising every facet
+    canon = sorted({tuple(sorted(f)) for f in facets})
+    widths = {len(f) for f in canon}
+    if len(widths) > 1:
+        raise MixedCardinality(f"facet sizes {sorted(widths)} are mixed")
+    for f in canon:
+        if len(set(f)) != len(f):
+            raise ValueError(f"facet {f} repeats a vertex")
+        for v in f:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise NonPositiveLabel(f"vertex label {v!r} is not a positive integer")
+    return tuple(canon), len(canon[0]) if canon else 0, frozenset(v for f in canon for v in f)
+
+
+def _outcome(build, plan):
+    # fresh facet objects per call: a generator is consumed once
+    made = {"tuple": tuple, "list": list, "generator": iter, "frozenset": frozenset}
+    try:
+        facets, n, vertices = build([made[kind](labels) for kind, labels in plan])
+    except Exception as exc:
+        return type(exc), str(exc)
+    types = [tuple(map(type, F)) for F in facets]
+    return facets, types, n, vertices, sorted(map(repr, vertices))
+
+
+def _built(facets):
+    c = sb.Complex(facets)
+    return c.facets, c.n, c.vertices
+
+
+@st.composite
+def _facet_plans(draw):
+    """(kind, labels) per facet: strictly increasing tuples of one width over
+    1..7, a few of them spoiled (one label swapped for a pool label or for an
+    equal label of another type, labels shuffled, another kind), or any kind
+    over the whole pool with mixed widths."""
+    if draw(st.booleans()):
+        return draw(st.lists(
+            st.tuples(st.sampled_from(_KINDS), st.lists(st.sampled_from(_LABELS), max_size=4)),
+            max_size=6,
+        ))
+    width = draw(st.integers(1, 4))
+    plan = [("tuple", tuple(sorted(s))) for s in draw(st.lists(
+        st.sets(st.integers(1, 7), min_size=width, max_size=width), min_size=1, max_size=8))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(plan) - 1))
+        labels = list(plan[i][1])
+        j = draw(st.integers(0, width - 1))
+        twin = {1: (1.0, True), 2: (2.0, _Label.TWO), 3: (3.0, _Label.THREE)}.get(labels[j])
+        pool = st.sampled_from(_LABELS)
+        labels[j] = draw(pool | st.sampled_from(twin) if twin else pool)
+        plan[i] = (draw(st.sampled_from(_KINDS)), draw(st.permutations(labels)))
+    return plan
+
+
+@settings(max_examples=300, deadline=None)
+@given(_facet_plans())
+def test_constructor_matches_the_facet_by_facet_oracle(plan):
+    assert _outcome(_built, plan) == _outcome(_reference_complex, plan)
+
+
+def test_constructor_keeps_sorted_tuples_and_copies_the_rest():
+    given_facets = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    c = sb.Complex(given_facets)
+    assert all(F is G for F, G in zip(c.facets, given_facets))
+    listed, unsorted, kept = [1, 2, 3], (4, 2, 1), (1, 3, 4)
+    c = sb.Complex([listed, unsorted, kept])
+    assert c.facets == ((1, 2, 3), (1, 2, 4), (1, 3, 4))
+    assert type(c.facets[0]) is tuple and c.facets[2] is kept
+
+
+def test_constructor_accepts_int_subclasses_but_not_bool():
+    c = sb.Complex([(1, _Label.TWO, _Label.THREE)])
+    assert c.facets == ((1, 2, 3),) and type(c.facets[0][1]) is _Label
+    with pytest.raises(NonPositiveLabel, match=r"^vertex label True is not a positive integer$"):
+        sb.Complex([(2, 3, 4), (True, 2, 3)])
 
 
 # -- f-vector ------------------------------------------------------------------

@@ -11,9 +11,11 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherebundles as sb
-from spherebundles import cli, fileio
+from spherebundles import BundleType, cli, fileio
 from spherebundles.errors import EmptyInput, MixedCardinality, ParseError
 
 
@@ -58,6 +60,35 @@ def test_round_trip_on_constructions():
     for c in (sb.boundary_of_simplex(5), sb.build_miss(4), sb.build_delta(5, 9)[0],
               sb.orientation_double_cover(sb.build_miss(4))):
         assert fileio.parse(fileio.write(c)) == c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 12), st.integers(0, 2 ** 30))
+def test_parse_write_round_trip_on_random_stacked_spheres(n, steps, seed):
+    c, _ = sb.random_stacked_sphere(n, steps, seed)
+    assert fileio.parse(fileio.write(c)) == c
+
+
+_PREFIXES = {}
+
+
+def _prefixes(n, f0, bundle):
+    """Every prefix of the fill replay of the (n, f0) ISS of the bundle."""
+    key = (n, f0, bundle)
+    if key not in _PREFIXES:
+        c = sb.build_iss(n, f0, bundle)
+        _PREFIXES[key] = list(sb.iter_fill(c, sb.build_fill_schedule(c)))
+    return _PREFIXES[key]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(((5, 12), (6, 20))), st.sampled_from(tuple(BundleType)), st.data())
+def test_parse_write_round_trip_on_fill_prefixes(size, bundle, data):
+    prefixes = _prefixes(*size, bundle)
+    c = prefixes[data.draw(st.integers(0, len(prefixes) - 1), label="prefix")]
+    text = fileio.write(c)
+    assert fileio.parse(text) == c
+    assert fileio.write(fileio.parse(text)) == text
 
 
 def test_analysis_report_fields():

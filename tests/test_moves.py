@@ -79,6 +79,15 @@ def test_apply_move_counts(iss_std):
     assert len(new) == 4
 
 
+def test_apply_move_shares_the_facets_it_keeps(iss_std):
+    mv = MoveSpec((1, 7), (2, 3, 5, 6))
+    out = sb.apply_move(iss_std, mv)
+    before = {F: F for F in iss_std.facets}
+    kept = [F for F in out.facets if F in before]
+    assert len(kept) == len(iss_std.facets) - 2
+    assert all(F is before[F] for F in kept)
+
+
 def test_apply_move_preserves_invariants(iss_std):
     mv = MoveSpec((1, 7), (2, 3, 5, 6))
     out = sb.apply_move(iss_std, mv)
