@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -471,3 +472,39 @@ def test_cli_build_stacked_needs_one_step(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("InfeasibleVertexCount: ")
+
+
+# exit code and sha256 of `iso` stdout (the verdict and, when isomorphic, the
+# witness line by line): MISS against Kuehnel's complex at n = 5 and 6, MISS
+# at n = 6 against three seeded relabellings of itself, and the standard
+# against the swapped ISS on 12 vertices at n = 5 (opposite bundles)
+_ISO_SHA256 = {
+    "miss~kuhnel n=5": (0, "316bb54cb6f92f03d9387c8b25cf3c48b7cfb034a1ffb3259d421825b3390148"),
+    "miss~kuhnel n=6": (0, "3b8ef4c601379abc628e78511c348e14eaef50fb87b45ba958fd0c04ddf4ea79"),
+    "miss~relabel n=6 #0": (0, "80e8cb55de25ff48c1ed56784c450643d37649980b29ba88a3760da992c6df0e"),
+    "miss~relabel n=6 #1": (0, "5b768480bf16ce6bae8dabca8da64bb52b4f8dc381ba4cb17b09d2c16f69a129"),
+    "miss~relabel n=6 #2": (0, "60cb9903262b5c0a47512ad1ae61fc9df9a0ac66cd340cb525c323ffe9a8590c"),
+    "iss standard~swapped n=5": (
+        1, "9b6ba5e416ff8b7f0d1356cb762011e2c879343bc4ee26a0f539812a00005580"
+    ),
+}
+
+
+def test_iso_witness_bytes_are_pinned(tmp_path, capsys):
+    pairs = {f"miss~kuhnel n={n}": (sb.build_miss(n), sb.kuhnel_complex(n)) for n in (5, 6)}
+    m = sb.build_miss(6)
+    rng = random.Random(6)
+    vs = sorted(m.vertices)
+    for i in range(3):
+        pairs[f"miss~relabel n=6 #{i}"] = (m, m.relabeled(dict(zip(vs, rng.sample(vs, len(vs))))))
+    pairs["iss standard~swapped n=5"] = tuple(
+        sb.build_iss_variant(5, 12, variant) for variant in ("standard", "swapped")
+    )
+    a, b = tmp_path / "a.fl", tmp_path / "b.fl"
+    got = {}
+    for label, (ca, cb) in pairs.items():
+        a.write_text(fileio.write(ca), encoding="utf-8")
+        b.write_text(fileio.write(cb), encoding="utf-8")
+        code = cli.main(["iso", str(a), str(b)])
+        got[label] = (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert got == _ISO_SHA256
