@@ -92,6 +92,7 @@ class Complex:
         self._n = n
         self._vertices = vertices
         self._faces = [None] * self._n  # one face index per dimension
+        self._sorted = None
         self._ridges = None
         self._stars = None
         self._adjacency = None
@@ -142,13 +143,11 @@ class Complex:
         """
         if not 0 <= d < self._n:
             return []
-        try:
-            lists = self._sorted
-        except AttributeError:  # allocated on first use, so __init__ pays nothing
-            lists = self._sorted = [None] * self._n
-        found = lists[d]
+        if self._sorted is None:
+            self._sorted = [None] * self._n
+        found = self._sorted[d]
         if found is None:
-            found = lists[d] = sorted(self.faces(d))
+            found = self._sorted[d] = sorted(self.faces(d))
         return found
 
     @classmethod

@@ -31,17 +31,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import gcd
 from typing import TypeVar
 
-from .complexes import (
-    Complex,
-    PseudomanifoldReport,
-    f_vector,
-    is_pseudomanifold,
-    link,
-    vertex_links,
-)
+from .complexes import Complex, PseudomanifoldReport, is_pseudomanifold, vertex_links
 from .errors import DimensionTooLow, InvalidWitness, NotPseudomanifold
 
 K = TypeVar("K")
@@ -270,27 +264,53 @@ class IsoWitness:
     mapping: dict[int, int]
 
 
-def _vertex_signatures(c: Complex) -> dict[int, tuple]:
-    sig = {}
-    adj = c.adjacency()
-    for v in sorted(c.vertices):
-        lk = link(c, (v,))
-        sig[v] = (len(adj[v]), len(lk.facets), tuple(f_vector(lk)))
-    return sig
+def _face_counts(c: Complex) -> dict[int, tuple[int, ...]]:
+    """Each vertex v, in increasing order, mapped to the numbers of k-faces
+    of c that contain v for k = 1..n-1: the f-vector of v's link, without
+    its leading 1.
+
+    Counted on v's star: the k-faces through v are v joined to the k-subsets
+    of the star's facets without v.
+    """
+    counts = {}
+    for v, star in c.stars().items():
+        facets = map(c.facets.__getitem__, star)
+        rest = [F[:i] + F[i + 1 :] for F in facets for i in (F.index(v),)]
+        counts[v] = tuple(
+            len(set(chain.from_iterable(combinations(R, k) for R in rest))) for k in range(1, c.n)
+        )
+    return counts
 
 
 def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
     """Search for a facet-preserving vertex bijection.
 
-    Backtracking over vertices with invariant pruning (degree, star size,
-    link f-vector) plus partial-facet consistency: the image of any mapped
-    part of a facet must be a face of the target.  Candidate order is
-    deterministic, so witnesses are reproducible.
+    Each vertex is coloured by its face counts (``_face_counts``), and a
+    vertex of ``a`` is only tried on vertices of ``b`` of its colour.  The
+    vertices of ``a`` are mapped in a fixed order: most neighbours among the
+    vertices already ordered, then rarest colour, then least label.  A
+    depth-first search over an explicit stack, one iterator of untried
+    candidates per depth, extends the mapping one vertex at a time, in
+    increasing label order of the candidates, so witnesses are reproducible.
+
+    One test prunes the search: when v is mapped to w, the image of the
+    mapped part of each facet through v must be a face of ``b``.  That test
+    alone decides the answer.  In a complete mapping, each facet of ``a``
+    was tested when its last vertex was mapped, with all its vertices
+    mapped, so its image is a facet of ``b``; the mapping is injective and
+    the facet counts agree, so it carries the facets onto the facets and is
+    an isomorphism.  An isomorphism carries edges onto edges and non-edges
+    onto non-edges, so every prefix of one keeps adjacency: a test that
+    compares adjacency would only cut subtrees that hold no complete mapping,
+    and the first complete mapping found is the same with it or without it.
+
+    Two empty complexes are isomorphic by the empty mapping.  The witness is
+    checked by an explicit raise before it is returned.
     """
     if a.n != b.n or a.num_vertices != b.num_vertices or len(a.facets) != len(b.facets):
         return None
-    sig_a = _vertex_signatures(a)
-    sig_b = _vertex_signatures(b)
+    sig_a = _face_counts(a)
+    sig_b = _face_counts(b)
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return None
     by_sig: dict[tuple, list[int]] = {}
@@ -300,19 +320,15 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
         vs.sort()
 
     adj_a = a.adjacency()
-    adj_b = b.adjacency()
     b_faces = [b.faces(d) for d in range(b.n)]
     a_facets = a.facets
     star_a = a.stars()
 
-    # order: rarest signature first, then stay connected to what is mapped
+    # order: stay connected to what is ordered, then rarest colour first
     sig_count = {s: len(vs) for s, vs in by_sig.items()}
     remaining = set(a.vertices)
     order = []
-    first = min(remaining, key=lambda v: (sig_count[sig_a[v]], v))
-    order.append(first)
-    remaining.discard(first)
-    chosen = {first}
+    chosen: set[int] = set()
     while remaining:
         nxt = min(
             remaining,
@@ -326,9 +342,6 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
     used: set[int] = set()
 
     def consistent(v: int, w: int) -> bool:
-        for u, x in mapping.items():
-            if (u in adj_a[v]) != (w in adj_b[x]):
-                return False
         for i in star_a[v]:
             img = [mapping[u] for u in a_facets[i] if u in mapping]
             img.append(w)
@@ -337,23 +350,21 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
                 return False
         return True
 
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for w in by_sig.get(sig_a[v], ()):
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(k + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if not extend(0):
-        return None
+    stack = []  # stack[k] yields the untried images of order[k]
+    while len(mapping) < len(order):
+        if len(stack) == len(mapping):  # open the next depth
+            stack.append(iter(by_sig[sig_a[order[len(mapping)]]]))
+        v = order[len(stack) - 1]
+        for w in stack[-1]:
+            if w not in used and consistent(v, w):
+                mapping[v] = w
+                used.add(w)
+                break
+        else:  # no candidate left here: back up one depth and withdraw its image
+            stack.pop()
+            if not stack:
+                return None
+            used.discard(mapping.pop(order[len(stack) - 1]))
     image = {tuple(sorted(mapping[v] for v in F)) for F in a.facets}
     if image != set(b.facets):
         raise InvalidWitness(f"mapping {mapping} does not carry facets onto facets")

@@ -1,11 +1,13 @@
 """Facet-list format round-trips, analysis reports, and the CLI surface."""
 
 import ast
+import contextlib
 import hashlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from math import comb
@@ -508,3 +510,58 @@ def test_iso_witness_bytes_are_pinned(tmp_path, capsys):
         code = cli.main(["iso", str(a), str(b)])
         got[label] = (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert got == _ISO_SHA256
+
+
+def test_cli_iso_of_a_thousand_vertex_sphere(tmp_path, capsys):
+    # one search depth per vertex: deeper than the interpreter's recursion limit
+    path = tmp_path / "big.fl"
+    assert cli.main(["build", "stacked", "--n", "3", "--steps", "1000", "-o", str(path)]) == 0
+    assert fileio.parse(path.read_text(encoding="utf-8")).num_vertices == 1003
+    assert cli.main(["iso", str(path), str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("isomorphic\n")
+    assert captured.err == ""
+
+
+_bad_tokens = st.sampled_from(("0", "-1", "x", "1.5", "+4", "1_0", "٣", "#", ""))
+
+
+@st.composite
+def _documents(draw):
+    """A facet-list document of one width over the labels 1..9, with up to
+    two lines put in anywhere: a comment, or tokens that may be bad (not a
+    positive ASCII integer, such as 0 or -1), repeat a label or change the
+    width.  No lines at all makes an empty document."""
+    width = draw(st.integers(1, 5))
+    facet = st.lists(st.integers(1, 9), min_size=width, max_size=width, unique=True)
+    lines = [" ".join(map(str, f)) for f in draw(st.lists(facet, max_size=8))]
+    odd_line = st.just("# comment") | st.lists(
+        st.integers(1, 9).map(str) | _bad_tokens, max_size=6
+    ).map(" ".join)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(odd_line))
+    return "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("analyze", "fill-edges", "double-cover", "iso")), _documents(), _documents())
+def test_cli_fuzz_exits_with_a_named_error(tmp_path_factory, command, first, second):
+    workdir = tmp_path_factory.mktemp("fuzz", numbered=True)
+    a, b = workdir / "a.fl", workdir / "b.fl"
+    a.write_text(first, encoding="utf-8")
+    b.write_text(second, encoding="utf-8")
+    argv = {
+        "analyze": ["analyze", "--in", str(a), "--json"],
+        "fill-edges": ["fill-edges", "--in", str(a), "--target-f1", "10"],
+        "double-cover": ["double-cover", "--in", str(a)],
+        "iso": ["iso", str(a), str(b)],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1 and not (command == "iso" and out.getvalue() == "non-isomorphic\n"):
+        assert re.match(r"[A-Z]\w*: ", err.getvalue()), err.getvalue()

@@ -6,10 +6,12 @@ import re
 from fractions import Fraction
 from math import comb
 
+import networkx as nx
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import categorical_node_match
 from sympy.polys.matrices import DomainMatrix
 
 import spherebundles as sb
@@ -618,13 +620,57 @@ def test_non_isomorphic_quick_rejections():
     assert sb.are_isomorphic(m4, sb.boundary_of_simplex(4)) is None
 
 
+def _incidence_graph(c):
+    """The vertex-facet incidence graph of c, each node tagged with its kind."""
+    g = nx.Graph()
+    g.add_nodes_from((("v", v) for v in c.vertices), kind="vertex")
+    for i, F in enumerate(c.facets):
+        g.add_node(("F", i), kind="facet")
+        g.add_edges_from((("F", i), ("v", v)) for v in F)
+    return g
+
+
+def _oracle_isomorphic(a, b):
+    """networkx's matcher on the incidence graphs, vertices onto vertices."""
+    return nx.is_isomorphic(_incidence_graph(a), _incidence_graph(b),
+                            node_match=categorical_node_match("kind", None))
+
+
 def test_non_isomorphic_same_counts():
-    # same f-vector cannot be faked: a stacked sphere and another one built
-    # from a different schedule are isomorphic, but a bundle never matches a
-    # sphere with identical face counts in low cases; use distinct complexes
+    # two stacked spheres with the same number of subdivisions share every
+    # face count, so the answer is left to the vertex colours and the search
     c1, _ = sb.random_stacked_sphere(4, 5, seed=1)
     c2, _ = sb.random_stacked_sphere(4, 5, seed=3)
+    assert sb.f_vector(c1) == sb.f_vector(c2)
     w = sb.are_isomorphic(c1, c2)
+    assert (w is not None) == _oracle_isomorphic(c1, c2)
     if w is not None:
         image = {tuple(sorted(w.mapping[v] for v in F)) for F in c1.facets}
         assert image == set(c2.facets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((3, 4)),
+    st.integers(1, 5),
+    st.integers(0, 10**6),
+    st.one_of(st.none(), st.integers(0, 10**6)),
+    st.randoms(use_true_random=False),
+)
+def test_isomorphism_answer_equals_networkx(n, steps, seed, other, rnd):
+    # b is a relabelled copy of a (other is None) or of another stacked
+    # sphere with the same face counts, on labels spread over 1..99
+    a, _ = sb.random_stacked_sphere(n, steps, seed=seed)
+    b = a if other is None else sb.random_stacked_sphere(n, steps, seed=other)[0]
+    vs = sorted(b.vertices)
+    b = b.relabeled(dict(zip(vs, rnd.sample(range(1, 100), len(vs)))))
+    w = sb.are_isomorphic(a, b)
+    assert (w is not None) == _oracle_isomorphic(a, b)
+    if other is None:
+        assert w is not None
+
+
+def test_isomorphism_of_empty_complexes():
+    empty = sb.Complex([])
+    assert sb.are_isomorphic(empty, empty) == verify.IsoWitness({})
+    assert sb.are_isomorphic(empty, sb.boundary_of_simplex(3)) is None
