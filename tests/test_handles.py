@@ -4,8 +4,11 @@ import random
 from collections import Counter, deque
 from itertools import combinations, permutations
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import spherebundles as sb
 from spherebundles import BundleType, complexes
@@ -292,17 +295,18 @@ def test_double_cover_rejects_non_pseudomanifold():
 
 # -- the quotient check against the whole-face-image reference ---------------------------
 
-def _reference_handle_addition(sphere, pairing):
+def _reference_handle_addition(sphere, pairing, check_distances=True):
     """Handle addition with one image per face of every dimension.
 
-    Each distance is its own graph_distance call; returns the quotient and
-    the cross-pair notes.
+    Each distance is its own graph_distance call, and
+    ``check_distances=False`` skips the matched-pair ones; returns the
+    quotient and the cross-pair notes.
     """
     n = sphere.n
     F1, F2 = pairing.source_facet, pairing.target_facet
     if F1 not in sphere.facets or F2 not in sphere.facets or len(pairing.pairs) != n:
         raise NotAFacet("pairing is not between two facets")
-    for u, w in pairing.pairs:
+    for u, w in pairing.pairs if check_distances else ():
         d = sb.graph_distance(sphere, u, w)
         if d < 3:
             raise DistanceViolation(f"identified pair ({u}, {w}) at distance {d}")
@@ -414,6 +418,40 @@ def test_quotient_check_against_reference_on_random_spheres():
                 rng.shuffle(ws)
                 seen[_against_reference(sphere, sb.Pairing(tuple(zip(F1, ws))))] += 1
     assert seen["ok"] >= 30 and seen[DistanceViolation] >= 20
+
+
+@st.composite
+def _any_pairing(draw):
+    """A random stacked sphere, a random facet F1, a facet F2 whose vertices
+    are all at distance >= 1, 2 or 3 from F1's (the largest gap there is, if
+    less), and a random bijection between them."""
+    n = draw(st.sampled_from((3, 4, 5)))
+    sphere, _ = sb.random_stacked_sphere(n, draw(st.integers(8, 40)), draw(st.integers(0, 10**6)))
+    dist = _all_distances(sphere)
+    F1 = draw(st.sampled_from(sphere.facets))
+    gap = {F: min(dist[u][w] for u in F1 for w in F) for F in sphere.facets}
+    least = min(draw(st.sampled_from((1, 2, 3))), max(gap.values()))
+    assume(least >= 1)
+    F2 = draw(st.sampled_from([F for F in sphere.facets if gap[F] >= least]))
+    ws = draw(st.permutations(F2))
+    return sphere, sb.Pairing(tuple(zip(F1, ws)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_pairing())
+def test_quotient_check_without_distances_matches_reference(case):
+    # with every distance reported as 3, whatever the pairing, the quotient
+    # check alone must refuse exactly the quotients the reference refuses
+    sphere, pairing = case
+    want, ref, _ = _outcome(
+        lambda: _reference_handle_addition(sphere, pairing, check_distances=False)
+    )
+    with mock.patch.object(handles, "graph_distance", lambda c, u, w: 3):
+        got, quotient, _ = _outcome(lambda: sb.handle_addition(sphere, pairing))
+    assert (got is NonSimplicialQuotient) == (want is NonSimplicialQuotient)
+    assert got in ("ok", NonSimplicialQuotient)
+    if got == "ok":
+        assert quotient.facets == ref[0].facets
 
 
 def test_handle_addition_on_a_disconnected_complex():
