@@ -7,7 +7,8 @@ at least three.  Applied to a stacked sphere the result is an *identified
 stacked sphere* (ISS); with the minimum vertex count 2n+1 it is a *minimal*
 one (MISS), combinatorially the Kuehnel complex.  Which of the two bundles
 appears is always computed from the quotient, never inferred from the
-pairing's parity.
+pairing's parity.  The quotient relabels only the facets that meet the
+target facet, and its vertex, facet and edge counts prove it simplicial.
 
 Constructions return a ``Construction`` record: the complex, the trace of
 its stacked sphere, the pairing kept and the cross-pair notes of that
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from math import comb
 
 from .complexes import Complex, distances_from, graph_distance, is_pseudomanifold
@@ -114,19 +114,25 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
 
     Each w_i is relabelled to u_i, coincident faces merge, and the single
     identified facet is removed.  Requires matched-pair distances >= 3 and a
-    quotient map that is injective on faces apart from the intended merges;
+    quotient map q that is injective on faces apart from the intended merges;
     the result must come out a pseudomanifold.  Expected count changes
     (vertices -n, facets -2, edges -C(n,2)) are verified on every call.
 
-    Each matched distance is one breadth-first search.  The quotient map
-    moves only faces that meet the target facet F2; every other face is its
-    own image, so two unmoved faces never collide.  The faces that share an
-    image are therefore the moved faces with that image, plus the unmoved
-    face equal to it if there is one; only moved faces get an image.
-    Once every matched pair is at distance >= 3, no u_i is adjacent to any
-    w_j (u_i ~ w_j ~ w_i would give d(u_i, w_i) <= 2), so the only merge
-    left is the intended one of F2's faces onto F1's and the guard below
-    should never fire; it stays an explicit check.
+    Each matched distance is one breadth-first search.  Only the facets in
+    the stars of F2's vertices are relabelled; every other facet is its own
+    image.  The counts alone prove the quotient simplicial:
+
+    - F1 is fixed.  After the distance check F1 and F2 are disjoint, since a
+      shared vertex would be some w_k equal or adjacent to u_k.  So q fixes
+      F1 and maps F2's C(n,2) edges onto F1's, and the edge count drops by
+      exactly C(n,2) iff no other two edges share an image.
+    - Every unintended collision shows up in the edges.  Take distinct faces
+      F and G with one image that are not an F1/F2 pair.  If |F| = 1 they
+      are {w_i} and {u_i}, an intended merge.  Otherwise take x in F - G and
+      the y in G with q(y) = q(x); for each other z in F take its partner
+      z' in G.  The edges {x, z} != {y, z'} share an image, and if every
+      such pair lay in F1 and F2, then F and G would too.  So the edge count
+      refuses every such collision.
     """
     n = sphere.n
     F1 = pairing.source_facet
@@ -144,40 +150,15 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
 
     relabel = {w: u for u, w in pairing.pairs}
     stars = sphere.stars()
-    # a face of a facet F is moved iff it differs from the face at the same
-    # positions of F's image; every moved face lies in a facet that meets F2
-    moved: dict[tuple[int, ...], tuple[int, ...]] = {}
+    facets = list(sphere.facets)
     for i in sorted({i for w in F2 for i in stars[w]}):
-        F = sphere.facets[i]
+        F = facets[i]
         G = tuple(relabel.get(v, v) for v in F)
         if len(set(G)) != n:
             raise NonSimplicialQuotient(f"face {F} degenerates to {tuple(sorted(G))}")
-        for d in range(1, n + 1):
-            for face, img in zip(combinations(F, d), combinations(G, d)):
-                if face != img and face not in moved:
-                    moved[face] = tuple(sorted(img))
-    preimages: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for face, img in moved.items():
-        preimages.setdefault(img, []).append(face)
-    f1set, f2set = set(F1), set(F2)
-    for img, pres in preimages.items():
-        # an image inside the facet F1 is a face without a search
-        if img not in moved and (f1set.issuperset(img) or _is_face(sphere, img)):
-            pres = pres + [img]  # the unmoved face equal to the image
-        pres.sort()
-        if len(pres) == 1:
-            continue
-        if len(pres) == 2:
-            a, b = pres
-            if (set(a) <= f1set and set(b) <= f2set) or (
-                set(a) <= f2set and set(b) <= f1set
-            ):
-                continue  # the intended identification of matching subfaces
-        raise NonSimplicialQuotient(f"faces {pres} all map to {img}")
-
-    new_facets = {moved.get(F, F) for F in sphere.facets}
-    new_facets.discard(F1)  # the identified facet is removed from the quotient
-    result = Complex(new_facets)
+        facets[i] = tuple(sorted(G))
+    # F2's image is F1, and the identified facet is removed from the quotient
+    result = Complex(set(facets) - {F1})
 
     if result.num_vertices != sphere.num_vertices - n:
         raise NonSimplicialQuotient("vertex count did not drop by n")
@@ -189,15 +170,6 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
     if not pm.ok:
         raise NonSimplicialQuotient(f"quotient is not a pseudomanifold: {pm.detail}")
     return result
-
-
-def _is_face(c: Complex, face: tuple[int, ...]) -> bool:
-    # every two vertices of a face are adjacent, which rejects most
-    # non-faces before the star of one vertex is scanned
-    adj = c.adjacency()
-    if face[0] not in adj or not all(b in adj[a] for a, b in combinations(face, 2)):
-        return False
-    return any(set(face).issubset(c.facets[i]) for i in c.stars()[face[0]])
 
 
 def kuhnel_complex(n: int) -> Complex:

@@ -326,17 +326,15 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
 
     # order: stay connected to what is ordered, then rarest colour first
     sig_count = {s: len(vs) for s, vs in by_sig.items()}
+    hits = dict.fromkeys(a.vertices, 0)  # hits[v]: neighbours of v already ordered
     remaining = set(a.vertices)
     order = []
-    chosen: set[int] = set()
     while remaining:
-        nxt = min(
-            remaining,
-            key=lambda v: (-len(adj_a[v] & chosen), sig_count[sig_a[v]], v),
-        )
+        nxt = min(remaining, key=lambda v: (-hits[v], sig_count[sig_a[v]], v))
         order.append(nxt)
         remaining.discard(nxt)
-        chosen.add(nxt)
+        for u in adj_a[nxt]:
+            hits[u] += 1
 
     mapping: dict[int, int] = {}
     used: set[int] = set()

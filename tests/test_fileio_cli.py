@@ -282,6 +282,29 @@ def test_cli_parser_is_reused_after_a_usage_error(capsys):
     assert captured.err.encode() == fresh.stderr
 
 
+def test_cli_closed_stdout_names_the_broken_pipe():
+    # stdout is a pipe whose read end is closed before the process starts,
+    # so every write fails the same way: one named error line, exit 1
+    src = str(Path(sb.__file__).resolve().parents[1])
+    for argv in (
+        ["build", "miss", "--n", "4"],
+        ["build", "iss", "--n", "8", "--vertices", "30", "--bundle", "orientable"],
+        ["region", "--k", "3", "--vertices", "12", "--bundle", "orientable"],
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "spherebundles.cli", *argv],
+                                  env={**os.environ, "PYTHONPATH": src},
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, argv
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if not line.startswith("note: ")]
+        assert errors == ["BrokenPipeError: [Errno 32] Broken pipe"], argv
+
+
 def test_cli_analyze_zero_dimensional_exits_one(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
     assert cli.main(["analyze"]) == 1

@@ -71,13 +71,26 @@ def test_handle_addition_flags_short_cross_pairs():
 def test_quotient_collision_guard(monkeypatch):
     # (1, 5) and (2, 6) are edges, so the pairing leaves (2, 5) and (5, 6)
     # to collide with (1, 2); reporting every distance as 3 lets it through
-    # to the guard
+    # to the face counts, and the facets collide too
     monkeypatch.setattr(handles, "graph_distance", lambda c, u, w: 3)
     sphere, _ = sb.build_delta(3, 5)
     pairing = sb.Pairing(((1, 5), (2, 6), (3, 8)))
     with pytest.raises(NonSimplicialQuotient) as exc:
         sb.handle_addition(sphere, pairing)
-    assert str(exc.value) == "faces [(1, 2), (2, 5), (5, 6)] all map to (1, 2)"
+    assert str(exc.value) == "facet count did not drop by 2"
+
+
+def test_edge_count_alone_refuses_a_collision(monkeypatch):
+    # below f0 = 2n + 1 the standard pairing's matched vertices share a
+    # neighbour x, so the edges {u_i, x} and {w_i, x} collide; no facets
+    # collide and the quotient is a pseudomanifold, so only the edge count
+    # refuses it
+    sphere, _ = sb.build_delta(4, 8)
+    pairing = sb.standard_pairing(4, 8)
+    assert {sb.graph_distance(sphere, u, w) for u, w in pairing.pairs} == {2}
+    monkeypatch.setattr(handles, "graph_distance", lambda c, u, w: 3)
+    with pytest.raises(NonSimplicialQuotient, match=r"^edge count did not drop by C\(n, 2\)$"):
+        sb.handle_addition(sphere, pairing)
 
 
 # the (n, f0, bundle) triples of the pipeline benchmark
@@ -452,6 +465,50 @@ def test_quotient_check_without_distances_matches_reference(case):
     assert got in ("ok", NonSimplicialQuotient)
     if got == "ok":
         assert quotient.facets == ref[0].facets
+
+
+@st.composite
+def _legal_pairing(draw):
+    """A random stacked sphere, a random facet F1, a chain of 2n..3n more
+    subdivisions from another facet, each of the newest facet that drops the
+    oldest vertex of the last one, the chain's last facet F2, and a random
+    bijection whose matched pairs are at distance >= 3.
+
+    Stacking never changes the distances between old vertices, and the
+    chain walks away from where it starts, so such a bijection often exists.
+    """
+    n = draw(st.sampled_from((3, 4, 5)))
+    sphere, _ = sb.random_stacked_sphere(n, draw(st.integers(0, 10)), draw(st.integers(0, 10**6)))
+    F1 = draw(st.sampled_from(sphere.facets))
+    start = draw(st.sampled_from([F for F in sphere.facets if F != F1]))
+    window = list(draw(st.permutations(start)))
+    for _ in range(draw(st.integers(2 * n, 3 * n))):
+        v = max(sphere.vertices) + 1
+        sphere = sb.subdivide_facet(sphere, window, v)
+        window = window[1:] + [v]
+    dist = {u: complexes.distances_from(sphere, u) for u in F1}
+    legal = [
+        ws for ws in permutations(sorted(window)) if all(dist[u][w] >= 3 for u, w in zip(F1, ws))
+    ]
+    assume(legal)
+    return sphere, sb.Pairing(tuple(zip(F1, draw(st.sampled_from(legal)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_legal_pairing())
+def test_legal_quotient_counts_klee_and_cover(case):
+    sphere, pairing = case
+    n = sphere.n
+    q = sb.handle_addition(sphere, pairing)
+    assert sb.klee_residual(q) == [0] * (n + 1)
+    fs, fq = sb.f_vector(sphere), sb.f_vector(q)
+    assert fq.f(0) == fs.f(0) - n
+    assert fq.f(1) == fs.f(1) - comb(n, 2)
+    assert fq.f(n - 1) == fs.f(n - 1) - 2
+    if not sb.orientability(q):
+        cover = sb.orientation_double_cover(q)
+        assert tuple(sb.f_vector(cover))[1:] == tuple(2 * x for x in tuple(fq)[1:])
+        assert sb.orientability(cover)
 
 
 def test_handle_addition_on_a_disconnected_complex():
