@@ -108,10 +108,6 @@ class Complex:
         return self._n
 
     @property
-    def dim(self) -> int:
-        return self._n - 1
-
-    @property
     def vertices(self) -> frozenset[int]:
         return self._vertices
 
@@ -192,13 +188,6 @@ class Complex:
                     index[v].append(idx)
             self._stars = index
         return self._stars
-
-    def has_face(self, face) -> bool:
-        t = tuple(sorted(face))
-        return t in self.faces(len(t) - 1)
-
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return self.faces(1)
 
     def adjacency(self) -> dict[int, set[int]]:
         if self._adjacency is None:
@@ -299,9 +288,6 @@ class IntVector:
         return self.entries[i]
 
 
-FVector = HVector = GVector = IntVector
-
-
 def from_facets(facet_list) -> Complex:
     """Build a canonical complex from an iterable of vertex sets.
 
@@ -378,7 +364,7 @@ def link(c: Complex, face) -> Complex:
     The link of a facet is the empty complex (no facets).
     """
     t = tuple(sorted(face))
-    if not c.has_face(t):
+    if t not in c.faces(len(t) - 1):
         raise NotAFace(f"{t} is not a face")
     # every facet that contains the face lies in the star of each of its
     # vertices, so the smallest of those stars is all that is walked
@@ -423,15 +409,6 @@ def vertex_links(c: Complex) -> Iterator[tuple[int, Complex]]:
             for faces in buckets.pop(v)
         ]
         yield v, Complex._from_sorted_faces(lists)
-
-
-def induced_subcomplex(c: Complex, vertex_set) -> list[tuple[int, ...]]:
-    """All faces of c contained in ``vertex_set``, by size, then lexicographically."""
-    s = set(vertex_set)
-    if not s.issubset(c.vertices):
-        raise NotAFace(f"{sorted(s - c.vertices)} are not vertices")
-    inside = (f for d in range(min(c.n, len(s))) for f in c.faces(d) if s.issuperset(f))
-    return sorted(inside, key=lambda f: (len(f), f))
 
 
 def distances_from(c: Complex, u: int) -> dict[int, int]:

@@ -115,8 +115,11 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
     Each w_i is relabelled to u_i, coincident faces merge, and the single
     identified facet is removed.  Requires matched-pair distances >= 3 and a
     quotient map q that is injective on faces apart from the intended merges;
-    the result must come out a pseudomanifold.  Expected count changes
-    (vertices -n, facets -2, edges -C(n,2)) are verified on every call.
+    the result must come out a pseudomanifold.  The facet and edge counts
+    (facets -2, edges -C(n,2)) are verified on every call.
+
+    A pairing whose size is not n is refused as "F1 is not a facet": the
+    u_i are distinct, so F1 has one vertex per pair.
 
     Each matched distance is one breadth-first search.  Only the facets in
     the stars of F2's vertices are relabelled; every other facet is its own
@@ -133,6 +136,13 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
       z' in G.  The edges {x, z} != {y, z'} share an image, and if every
       such pair lay in F1 and F2, then F and G would too.  So the edge count
       refuses every such collision.
+    - The vertex count drops by exactly n, so it is not checked.  Every w_i
+      is relabelled.  A vertex outside F1 and F2 keeps each facet through
+      it, since no such facet's image is F1.  For u_i to vanish, every
+      facet through u_i would have to map onto F1; then lk(u_i) would take
+      its vertices from one of u_k or w_k for each k != i, never both, as
+      d(u_k, w_k) >= 3.  That is at most n - 1 vertices, but an
+      (n-2)-sphere has at least n.
     """
     n = sphere.n
     F1 = pairing.source_facet
@@ -141,8 +151,6 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
         raise NotAFacet(f"{F1} is not a facet of the sphere")
     if F2 not in sphere.facets:
         raise NotAFacet(f"{F2} is not a facet of the sphere")
-    if len(pairing.pairs) != n:
-        raise NotAFacet(f"pairing has {len(pairing.pairs)} pairs, facets have {n} vertices")
     for u, w in pairing.pairs:
         d = graph_distance(sphere, u, w)
         if d < 3:
@@ -160,8 +168,6 @@ def handle_addition(sphere: Complex, pairing: Pairing) -> Complex:
     # F2's image is F1, and the identified facet is removed from the quotient
     result = Complex(set(facets) - {F1})
 
-    if result.num_vertices != sphere.num_vertices - n:
-        raise NonSimplicialQuotient("vertex count did not drop by n")
     if len(result.facets) != len(sphere.facets) - 2:
         raise NonSimplicialQuotient("facet count did not drop by 2")
     if len(result.faces(1)) != len(sphere.faces(1)) - comb(n, 2):

@@ -8,10 +8,10 @@ identified stacked sphere realises every edge count between n*f0 and the
 complete graph.
 
 Execution is self-verifying instead of trusting the inductive argument.
-Flippability is checked before every move, and the move's effect is checked
-locally, from the cone facets, the join facets and the facets that stay: it
-must keep the vertex set and add exactly the edge A.  So the edge set is
-carried forward as edges + {A}, never enumerated again.  ``apply_move``
+Each move is checked once, locally, from the cone facets, the join facets
+and the facets that stay: both cones must be facets, A a non-edge, and the
+move must keep the vertex set and add exactly the edge A.  So the edge set
+is carried forward as edges + {A}, never enumerated again.  ``apply_move``
 validates one ``Complex`` per move; ``fill_to`` edits one facet set across
 the whole prefix and validates once, at the end.
 """
@@ -65,7 +65,7 @@ def is_flippable(c: Complex, mv: MoveSpec) -> bool:
 
     Equivalently: both facets {a} + B exist, and A is a non-edge (every
     subset of A + B missing one A-vertex then lies in one of the two cone
-    facets, and no face contains both A-vertices).
+    facets, and no face contains both A-vertices).  Moves do not call it.
     """
     if len(mv.b) != c.n - 1:
         return False
@@ -117,14 +117,14 @@ def apply_move(c: Complex, mv: MoveSpec) -> Complex:
 
     The result is a validated ``Complex``; its edge index is the input's
     edges plus A, carried over rather than enumerated again.
+
+    ``_flip`` is the one check.  It refuses what ``is_flippable`` refuses,
+    as a wrong B or a vertex outside ``c`` leaves a cone out of the facets,
+    and it raises before a vertex is lost; the join facets add none.
     """
-    if not is_flippable(c, mv):
-        raise NotFlippable(mv.to_text())
     facets, edges = set(c.facets), set(c.faces(1))
     _flip(facets, edges, mv)
     result = Complex(facets)
-    if result.vertices != c.vertices:
-        raise NotFlippable(f"{mv.to_text()} changed the vertex set")
     result._faces[1] = frozenset(edges)  # _flip showed these are exactly its edges
     return result
 

@@ -82,10 +82,13 @@ def build_delta(n: int, i: int) -> tuple[Complex, SubdivisionTrace]:
     identifications can refer to labels directly.
 
     The steps edit one facet set; only the finished sphere is built, and so
-    validated, as a ``Complex``.  Each step still raises NotAFacet if its
-    facet is missing, as ``subdivide_facet`` would; the new vertex exceeds
-    every label in use, so appending it keeps each cone facet sorted.
-    ``trace.replay()`` rebuilds the same sphere through ``subdivide_facet``.
+    validated, as a ``Complex``.  No step checks that its facet is present:
+    {2, ..., n+1} is a facet of the simplex boundary, and for j >= 2 step
+    j-1 creates {j+1, ..., n+j} as the cone facet that drops j, which only
+    step j removes.  The new vertex exceeds every label in use, so appending
+    it keeps each cone facet sorted.
+    ``trace.replay()`` rebuilds the same sphere through ``subdivide_facet``,
+    which does check.
     """
     if n < 3:
         raise DimensionTooLow("n must be at least 3")
@@ -99,8 +102,6 @@ def build_delta(n: int, i: int) -> tuple[Complex, SubdivisionTrace]:
     for j in range(1, i):
         F = tuple(range(j + 1, n + j + 1))
         v = n + j + 1
-        if F not in facets:
-            raise NotAFacet(f"{F} is not a facet")
         facets.remove(F)
         facets.update(F[:k] + F[k + 1 :] + (v,) for k in range(n))
         steps.append(SubdivisionStep(F, v))

@@ -28,7 +28,7 @@ def _replay(f0: int, variant: str) -> list[tuple[int, sb.Complex]]:
     if key not in _REPLAYS:
         c = sb.build_iss_variant(5, f0, variant)
         prefixes = sb.iter_fill(c, sb.build_fill_schedule(c))
-        _REPLAYS[key] = [(len(x.edges()), x) for x in prefixes]
+        _REPLAYS[key] = [(len(x.faces(1)), x) for x in prefixes]
     return _REPLAYS[key]
 
 
@@ -206,7 +206,7 @@ def test_criterion_10_property_suites():
         q = sb.handle_addition(sphere, sb.standard_pairing(n, f0))
         assert q.num_vertices == sphere.num_vertices - n
         assert len(q.facets) == len(sphere.facets) - 2
-        assert len(q.edges()) == len(sphere.edges()) - comb(n, 2)
+        assert len(q.faces(1)) == len(sphere.faces(1)) - comb(n, 2)
 
     # Betti invariance across every bistellar move of every replay
     moves_checked = 0

@@ -148,7 +148,7 @@ def test_cli_build_iss_and_fill(tmp_path, capsys):
     assert cli.main(["fill-edges", "--in", str(iss_path),
                      "--target-f1", "66", "-o", str(out_path)]) == 0
     filled = fileio.parse(out_path.read_text(encoding="utf-8"))
-    assert len(filled.edges()) == 66
+    assert len(filled.faces(1)) == 66
 
 
 def test_cli_iso_exit_codes(tmp_path, capsys):
@@ -243,6 +243,16 @@ def test_cli_fill_edges_outside_its_precondition_exits_one(capsys, monkeypatch):
     assert capsys.readouterr().out == fileio.write(sb.boundary_of_simplex(4))
 
 
+def test_cli_fill_edges_of_a_stacked_sphere_exits_one(capsys, monkeypatch):
+    # a stacked sphere is no identified one: its schedule leaves edges missing
+    assert cli.main(["build", "stacked", "--n", "4", "--steps", "9"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert cli.main(["fill-edges", "--target-f1", "60"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ScheduleInvalid: schedule has 27 moves but 36 edges are missing\n"
+
+
 def test_cli_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["build", "iss", "--n", "5"])
@@ -329,6 +339,33 @@ def test_import_loads_only_the_standard_library():
                          capture_output=True, text=True, check=True).stdout
     loaded = set(ast.literal_eval(out))
     assert loaded - set(sys.stdlib_module_names) == {"spherebundles"}
+
+
+def test_every_export_has_a_caller():
+    # a public name must be used in the package outside its own definition
+    # and __init__.py, shown in README.md as `sb.name` or `name`, or named
+    # in the benchmark
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in Path(sb.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.add(node.module)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    bench = "".join(p.read_text(encoding="utf-8") for p in (root / "bench").glob("*.py"))
+    missing = [
+        name for name in sb.__all__
+        if name not in used
+        and not re.search(rf"\bsb\.{name}\b|`{name}`", readme)
+        and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert missing == []
 
 
 def test_cli_parse_error_exits_one(tmp_path, capsys):

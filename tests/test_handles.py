@@ -34,7 +34,7 @@ def test_handle_addition_builds_miss4():
     q = sb.handle_addition(sphere, sb.standard_pairing(4, 9))
     assert q.num_vertices == 9
     assert len(q.facets) == 27
-    assert len(q.edges()) == len(sphere.edges()) - comb(4, 2)
+    assert len(q.faces(1)) == len(sphere.faces(1)) - comb(4, 2)
 
 
 def test_handle_addition_deltas():
@@ -43,7 +43,7 @@ def test_handle_addition_deltas():
         q = sb.handle_addition(sphere, sb.standard_pairing(n, f0))
         assert q.num_vertices == sphere.num_vertices - n
         assert len(q.facets) == len(sphere.facets) - 2
-        assert len(q.edges()) == len(sphere.edges()) - comb(n, 2)
+        assert len(q.faces(1)) == len(sphere.faces(1)) - comb(n, 2)
 
 
 def test_handle_addition_distance_violation():
@@ -59,6 +59,56 @@ def test_handle_addition_requires_facets():
     pairing = sb.Pairing(((1, 10), (2, 11), (3, 12), (13, 9)))  # {1,2,3,13} not a facet
     with pytest.raises(NotAFacet):
         sb.handle_addition(sphere, pairing)
+
+
+def _flapped_sphere():
+    # a triangle hung on the edge (6, 7), far from both identified facets
+    sphere, _ = sb.build_delta(3, 10)
+    return sb.Complex(list(sphere.facets) + [(6, 7, 14)])
+
+
+@pytest.mark.parametrize(
+    "sphere, pairs, error, message",
+    [
+        # only the source facet is missing, then only the target facet
+        (sb.build_delta(4, 9)[0], ((1, 10), (2, 11), (3, 12), (9, 13)),
+         NotAFacet, "(1, 2, 3, 9) is not a facet of the sphere"),
+        (sb.build_delta(4, 9)[0], ((1, 9), (2, 10), (3, 11), (4, 12)),
+         NotAFacet, "(9, 10, 11, 12) is not a facet of the sphere"),
+        # three pairs on 4-vertex facets: the source cannot be a facet
+        (sb.build_delta(4, 9)[0], ((1, 11), (2, 12), (3, 13)),
+         NotAFacet, "(1, 2, 3) is not a facet of the sphere"),
+        # the counts pass, and the ridge (6, 7) keeps three facets
+        (_flapped_sphere(), ((1, 11), (2, 12), (3, 13)),
+         NonSimplicialQuotient, "quotient is not a pseudomanifold: ridge (6, 7) lies in 3 facets"),
+    ],
+)
+def test_handle_addition_names_each_fault(sphere, pairs, error, message):
+    with pytest.raises(error) as exc:
+        sb.handle_addition(sphere, sb.Pairing(pairs))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: sb.Pairing(((1, 5), (2, 5))), ValueError,
+         "pairing must be a bijection between two facets"),
+        (lambda: sb.Pairing(((1, 5), (1, 6))), ValueError,
+         "pairing must be a bijection between two facets"),
+        (lambda: sb.kuhnel_complex(2), sb.errors.DimensionTooLow, "n must be at least 3"),
+        (lambda: sb.build_iss_variant(5, 12, "twisted"), ValueError,
+         "variant must be one of ('standard', 'swapped')"),
+        (lambda: sb.build_iss_variant(5, 10, "standard"), InfeasibleVertexCount,
+         "need f0 >= 11, got 10"),
+        (lambda: sb.build_iss_variant(5, 11, "swapped"), InfeasibleVertexCount,
+         "swapped pairing needs f0 >= 12, got 11"),
+    ],
+)
+def test_constructors_name_each_fault(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_handle_addition_flags_short_cross_pairs():
@@ -163,14 +213,14 @@ def test_miss_isomorphic_to_kuhnel():
 def test_build_iss_minimal_orientable():
     c = sb.build_iss(5, 11, BundleType.ORIENTABLE)
     assert c.num_vertices == 11
-    assert len(c.edges()) == 55
+    assert len(c.faces(1)) == 55
     assert sb.are_isomorphic(c, sb.build_miss(5)) is not None
 
 
 def test_build_iss_nonorientable_needs_extra_vertex():
     c = sb.build_iss(5, 12, BundleType.NONORIENTABLE)
     assert c.num_vertices == 12
-    assert len(c.edges()) == 60
+    assert len(c.faces(1)) == 60
     assert not sb.orientability(c)
     with pytest.raises(InfeasibleVertexCount):
         sb.build_iss(5, 11, BundleType.NONORIENTABLE)
@@ -265,7 +315,7 @@ def test_double_cover_of_miss4():
     m4 = sb.build_miss(4)
     cover = sb.orientation_double_cover(m4)
     assert cover.num_vertices == 18
-    assert len(cover.edges()) == 72
+    assert len(cover.faces(1)) == 72
     assert tuple(sb.f_vector(cover)) == (1, 18, 72, 108, 54)
     assert sb.orientability(cover)
     assert sb.betti_numbers(cover) == (1, 1, 1, 1)

@@ -1,5 +1,6 @@
 """Bistellar edge insertion: single moves, schedules, the feasible region."""
 
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -45,6 +46,27 @@ def test_is_flippable_rejects_missing_cone(iss_std):
     assert not sb.is_flippable(iss_std, MoveSpec((1, 7), (2, 3, 4, 5)))
 
 
+def _induced_subcomplex(c, vertex_set):
+    """Reference: all faces of c inside ``vertex_set``, by size, then in order."""
+    s = set(vertex_set)
+    inside = (f for d in range(min(c.n, len(s))) for f in c.faces(d) if s.issuperset(f))
+    return sorted(inside, key=lambda f: (len(f), f))
+
+
+def test_induced_subcomplex_of_flippable_configuration(iss_std):
+    a, b = (1, 7), (2, 3, 5, 6)
+    faces = _induced_subcomplex(iss_std, set(a) | set(b))
+    both = [f for f in faces if set(a) <= set(f)]
+    assert both == []
+    # every subset omitting one of the A vertices is present
+    expected = set()
+    for av in a:
+        cone = tuple(sorted((av,) + b))
+        for k in range(1, 6):
+            expected.update(combinations(cone, k))
+    assert set(faces) == expected
+
+
 def test_is_flippable_matches_induced_subcomplex_definition(iss_std):
     # definitional oracle: faces inside A + B are exactly the subsets
     # missing at least one A-vertex
@@ -57,7 +79,7 @@ def test_is_flippable_matches_induced_subcomplex_definition(iss_std):
     ]
     for mv in candidates:
         union = set(mv.a) | set(mv.b)
-        faces = set(sb.induced_subcomplex(iss_std, union))
+        faces = set(_induced_subcomplex(iss_std, union))
         expected = set()
         for k in range(1, 7):
             for sub in combinations(sorted(union), k):
@@ -70,7 +92,7 @@ def test_apply_move_counts(iss_std):
     mv = MoveSpec((1, 7), (2, 3, 5, 6))
     out = sb.apply_move(iss_std, mv)
     assert out.vertices == iss_std.vertices
-    assert len(out.edges()) == len(iss_std.edges()) + 1
+    assert len(out.faces(1)) == len(iss_std.faces(1)) + 1
     # two cone facets leave, n-1 join facets arrive
     gone = set(iss_std.facets) - set(out.facets)
     new = set(out.facets) - set(iss_std.facets)
@@ -97,16 +119,15 @@ def test_apply_move_preserves_invariants(iss_std):
 
 
 def test_apply_move_rejects_unflippable(iss_std):
-    with pytest.raises(NotFlippable):
+    with pytest.raises(NotFlippable) as exc:
         sb.apply_move(iss_std, MoveSpec((1, 2), (3, 4, 6, 7)))
+    assert str(exc.value) == "A: 1 2 | B: 3 4 6 7 did not add exactly one edge"
 
 
-def test_apply_move_checks_its_result(iss_std, monkeypatch):
-    # with the flippability test switched off, repeating a move adds no edge;
-    # the edge-count check must still catch it (and stays under python -O)
+def test_apply_move_checks_its_result(iss_std):
+    # repeating a move adds no edge, and the move's own check catches it
     mv = MoveSpec((1, 7), (2, 3, 5, 6))
     once = sb.apply_move(iss_std, mv)
-    monkeypatch.setattr(moves, "is_flippable", lambda c, mv: True)
     with pytest.raises(NotFlippable, match="did not add exactly one edge"):
         sb.apply_move(once, mv)
 
@@ -117,7 +138,7 @@ def test_apply_move_on_a_surface_loses_the_edge_b():
     c, _ = sb.random_stacked_sphere(3, 4, seed=2)
     refused = 0
     for a in combinations(sorted(c.vertices), 2):
-        if a in c.edges():
+        if a in c.faces(1):
             continue
         for b in combinations(sorted(c.vertices - set(a)), 2):
             mv = MoveSpec(a, b)
@@ -136,7 +157,7 @@ def test_apply_move_keeps_an_edge_held_by_a_third_facet():
     c = sb.Complex([(1, 2, 3), (2, 3, 4), (2, 3, 5)])
     out = sb.apply_move(c, MoveSpec((1, 4), (2, 3)))
     assert out.facets == ((1, 2, 4), (1, 3, 4), (2, 3, 5))
-    assert out.edges() == sb.Complex(list(out.facets)).edges() == c.edges() | {(1, 4)}
+    assert out.faces(1) == sb.Complex(list(out.facets)).faces(1) == c.faces(1) | {(1, 4)}
 
 
 def test_apply_move_loses_a_vertex_on_a_cycle():
@@ -155,6 +176,42 @@ def test_fill_to_checks_its_result(iss_std, monkeypatch):
     monkeypatch.setattr(moves, "_flip", claims_the_edge)
     with pytest.raises(ScheduleInvalid, match="^replaying 2 moves changed the vertex set"):
         sb.fill_to(iss_std, sb.build_fill_schedule(iss_std), 62)
+
+
+_iss = cache(sb.build_iss_variant)
+
+
+@st.composite
+def _random_flippable_move(draw):
+    """A stacked sphere or an ISS, n >= 4, and a move read off two facets
+    {a1} + B and {a2} + B across the ridge B where a1a2 is a non-edge.  The
+    ISS are not minimal: a minimal one has every edge."""
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 6))
+        c, _ = sb.random_stacked_sphere(n, draw(st.integers(1, 8)), draw(st.integers(0, 2 ** 30)))
+    else:
+        c = _iss(*draw(st.sampled_from(
+            ((4, 10, "standard"), (4, 10, "swapped"), (5, 12, "standard"), (5, 12, "swapped"))
+        )))
+    edges = c.faces(1)
+    moves_across = []
+    for ridge, ((i, p), (j, q)) in c.ridges().items():
+        a = tuple(sorted((c.facets[i][p], c.facets[j][q])))
+        if a not in edges:
+            moves_across.append(MoveSpec(a, ridge))
+    return c, draw(st.sampled_from(moves_across))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_flippable_move())
+def test_random_flippable_move_keeps_the_topology(case):
+    c, mv = case
+    assert sb.is_flippable(c, mv)
+    out = sb.apply_move(c, mv)
+    assert out.faces(1) == c.faces(1) | {mv.a}
+    assert sb.betti_numbers(out) == sb.betti_numbers(c)
+    assert sb.orientability(out) == sb.orientability(c)
+    assert sb.klee_residual(out) == sb.klee_residual(c) == [0] * (c.n + 1)
 
 
 _REPLAYS = {}
@@ -223,8 +280,8 @@ def test_fill_to_identity_and_complete(iss_std):
     sched = sb.build_fill_schedule(iss_std)
     assert sb.fill_to(iss_std, sched, 60) == iss_std
     full = sb.fill_to(iss_std, sched, comb(12, 2))
-    assert len(full.edges()) == comb(12, 2)
-    assert full.edges() == {e for e in combinations(sorted(full.vertices), 2)}
+    assert len(full.faces(1)) == comb(12, 2)
+    assert full.faces(1) == {e for e in combinations(sorted(full.vertices), 2)}
 
 
 def test_fill_to_range_errors(iss_std):
@@ -235,13 +292,20 @@ def test_fill_to_range_errors(iss_std):
         sb.fill_to(iss_std, sched, comb(12, 2) + 1)
 
 
+def test_fill_to_needs_enough_moves(iss_std):
+    short = sb.FillSchedule(sb.build_fill_schedule(iss_std).moves[:2])
+    with pytest.raises(TargetOutOfRange) as exc:
+        sb.fill_to(iss_std, short, 66)
+    assert str(exc.value) == "schedule provides 2 moves, 6 needed"
+
+
 def test_fill_intermediates_keep_invariants(iss_std):
     sched = sb.build_fill_schedule(iss_std)
     betti = sb.betti_numbers(iss_std)
     c = iss_std
     for t in range(1, len(sched) + 1):
         c = sb.apply_move(c, sched.moves[t - 1])
-        assert len(c.edges()) == 60 + t
+        assert len(c.faces(1)) == 60 + t
         assert sb.klee_residual(c) == [0] * 6
         assert sb.is_pseudomanifold(c).ok
         assert sb.betti_numbers(c) == betti
@@ -265,6 +329,16 @@ def test_feasible_region_values():
     assert sb.feasible_region(4, 13, BundleType.NONORIENTABLE) == (78, 78)
     assert sb.feasible_region(4, 13, BundleType.ORIENTABLE) is None
     assert sb.feasible_region(4, 14, BundleType.ORIENTABLE) == (84, 91)
+
+
+def test_feasible_region_at_k_two():
+    # the smallest k: the vertex minimum is 9 for the nonorientable bundle
+    # and 10 for the orientable one
+    for bundle in BundleType:
+        assert sb.feasible_region(2, 8, bundle) is None
+        assert sb.feasible_region(2, 10, bundle) == (40, 45)
+    assert sb.feasible_region(2, 9, BundleType.NONORIENTABLE) == (36, 36)
+    assert sb.feasible_region(2, 9, BundleType.ORIENTABLE) is None
 
 
 def test_feasible_region_requires_k_at_least_two():

@@ -21,7 +21,7 @@ def test_subdivide_facet_counts():
     d2 = sb.subdivide_facet(c, (2, 3, 4, 5), 6)
     assert d2.num_vertices == 6
     assert len(d2.facets) == 8
-    assert len(d2.edges()) == 14  # C(5,2) + 4
+    assert len(d2.faces(1)) == 14  # C(5,2) + 4
 
 
 def test_subdivide_facet_errors():
@@ -32,6 +32,20 @@ def test_subdivide_facet_errors():
         sb.subdivide_facet(c, (2, 3, 4, 5), 5)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: sb.boundary_of_simplex(1), DimensionTooLow, "n must be at least 2"),
+        (lambda: sb.distance_table(2, 1), ValueError, "need n >= 3 and i >= 1"),
+        (lambda: sb.distance_table(3, 0), ValueError, "need n >= 3 and i >= 1"),
+    ],
+)
+def test_builders_name_each_fault(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_build_delta_counts():
     c1, tr1 = sb.build_delta(4, 1)
     assert c1 == sb.boundary_of_simplex(4)
@@ -40,7 +54,7 @@ def test_build_delta_counts():
     c9, tr9 = sb.build_delta(4, 9)
     assert c9.num_vertices == 13
     assert len(c9.facets) == 29
-    assert len(c9.edges()) == comb(5, 2) + 8 * 4
+    assert len(c9.faces(1)) == comb(5, 2) + 8 * 4
     assert tr9.replay() == c9
 
     # vertex count is n + i (the schedule adds one vertex per step)
@@ -54,7 +68,7 @@ def test_build_delta_counts_general():
             c, tr = sb.build_delta(n, i)
             assert c.num_vertices == n + i
             assert len(c.facets) == (n + 1) + (i - 1) * (n - 1)
-            assert len(c.edges()) == comb(n + 1, 2) + (i - 1) * n
+            assert len(c.faces(1)) == comb(n + 1, 2) + (i - 1) * n
             assert tr.replay() == c
 
 

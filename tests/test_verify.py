@@ -178,7 +178,7 @@ def test_betti_bundles():
 def test_betti_against_sympy_rank_oracle():
     # sympy ranks of the full, uncleared boundary matrices
     complete = _fill_prefixes(BundleType.NONORIENTABLE)[-1]
-    assert len(complete.edges()) == 66
+    assert len(complete.faces(1)) == 66
     cases = (
         sb.build_miss(4),
         sb.kuhnel_complex(3),
@@ -364,7 +364,7 @@ def test_star_index_and_links_against_facet_scan(c, data):
     scan = {v: [i for i, F in enumerate(c.facets) if v in F] for v in sorted(c.vertices)}
     assert list(c.stars().items()) == list(scan.items())
     vertex = (data.draw(st.sampled_from(sorted(c.vertices))),)
-    edge = data.draw(st.sampled_from(sorted(c.edges())))
+    edge = data.draw(st.sampled_from(sorted(c.faces(1))))
     facet = data.draw(st.sampled_from(c.facets))
     for face in (vertex, edge, facet):
         fs = set(face)
@@ -557,6 +557,19 @@ def test_link_pass_keeps_the_failure_details():
 def test_link_pass_needs_edges():
     with pytest.raises(DimensionTooLow):
         next(sb.vertex_links(sb.Complex([(1,), (2,)])))
+
+
+def test_vertex_links_of_a_cycle():
+    # n = 2, the least n with vertex links: each link is two points, a 0-sphere
+    square = sb.Complex([(1, 2), (2, 3), (3, 4), (1, 4)])
+    links = dict(sb.vertex_links(square))
+    assert sorted(links) == [1, 2, 3, 4]
+    for v, lk in links.items():
+        assert lk == sb.link(square, (v,))
+        assert lk.n == 1 and len(lk.facets) == 2
+    ev = sb.manifold_evidence(square)
+    assert ev.ok
+    assert [lc.betti for lc in ev.link_checks] == [(2,)] * 4
 
 
 # -- double cover hypothesis for the classification -----------------------------------
