@@ -39,10 +39,6 @@ def _emit(c: Complex, out: str | None) -> None:
             fh.write(text)
 
 
-def _bundle(value: str) -> BundleType:
-    return BundleType(value)
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; callers must not modify it."""
@@ -104,7 +100,7 @@ def run(args: argparse.Namespace) -> int:
         if args.what == "miss":
             made = construct_miss(args.n)
         else:
-            made = construct_iss(args.n, args.vertices, _bundle(args.bundle))
+            made = construct_iss(args.n, args.vertices, BundleType(args.bundle))
         for note in made.notes:
             print(f"note: {note}", file=sys.stderr)
         _emit(made.complex, args.out)
@@ -141,15 +137,13 @@ def run(args: argparse.Namespace) -> int:
         _emit(orientation_double_cover(c), args.out)
         return 0
 
-    if args.command == "region":
-        interval = moves.feasible_region(args.k, args.vertices, _bundle(args.bundle))
-        if interval is None:
-            print("infeasible")
-        else:
-            print(f"{interval[0]} {interval[1]}")
-        return 0
-
-    raise AssertionError("unreachable")
+    # argparse admits only the six commands, so this one is "region"
+    interval = moves.feasible_region(args.k, args.vertices, BundleType(args.bundle))
+    if interval is None:
+        print("infeasible")
+    else:
+        print(f"{interval[0]} {interval[1]}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

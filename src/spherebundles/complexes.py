@@ -9,12 +9,14 @@ complexes are safe to share read-only between concurrent tasks.
 Validation runs as a few whole-list passes, each at C speed: facet widths,
 the type of every label occurrence, the least label, and repeated vertices
 (ruled out already when every facet comes as a strictly increasing tuple).
-A facet passed as a plain tuple already in order is kept as the caller's
-own object, not copied; tuples are immutable, so sharing one between the
-caller and the complex, or between a complex and the next one made from
-its facets, is safe, and a replay that keeps every prefix holds each facet
-once.  The facet-by-facet scan runs only when a pass fails, to name the
-first fault.
+When every facet is a plain tuple already in order, each is kept as the
+caller's own object, not copied; tuples are immutable, so sharing one
+between the caller and the complex, or between a complex and the next one
+made from its facets, is safe, and a replay that keeps every prefix holds
+each facet once; otherwise each becomes ``tuple(sorted(f))``.  The
+facet-by-facet scan runs only when a pass fails, to name the first fault.
+Moves build through ``Complex._with_edges``, which also installs the edge
+set the move proved, so no other module touches the caches below.
 
 Four indices are derived from the facets, each on first use and cached on
 the complex:
@@ -60,11 +62,12 @@ class Complex:
     one.  Instances are immutable; derived data (faces, ridges, stars,
     adjacency, the pseudomanifold report) is cached lazily.
 
-    The constructor validates in whole-list passes and keeps each sorted
-    plain-tuple facet as the caller's object; any other facet becomes
-    ``tuple(sorted(f))``.  Only when a pass fails does the facet-by-facet
-    scan run, which raises the same first fault, with the same message, as
-    checking each facet in turn.
+    The constructor validates in whole-list passes.  When every facet is a
+    plain tuple of one width in increasing order, it keeps each as the
+    caller's object; otherwise every facet becomes ``tuple(sorted(f))``.
+    Only when a pass fails does the facet-by-facet scan run, which raises
+    the same first fault, with the same message, as checking each facet in
+    turn.
     """
 
     __slots__ = (
@@ -75,7 +78,7 @@ class Complex:
         facets = list(facets)
         increasing = _increasing(facets)
         # Of equal facets, such as (1, 2) and (True, 2), the set keeps the first.
-        canon = sorted(set(facets) if increasing else set(map(_canonical, facets)))
+        canon = sorted(set(facets) if increasing else {tuple(sorted(f)) for f in facets})
         n = len(canon[0]) if canon else 0
         vertices = frozenset(chain.from_iterable(canon))
         # Whole-list passes; `and` stops at the first that fails, and only
@@ -145,6 +148,13 @@ class Complex:
         if found is None:
             found = self._sorted[d] = sorted(self.faces(d))
         return found
+
+    @classmethod
+    def _with_edges(cls, facets, edges) -> "Complex":
+        # validated; ``edges`` must be exactly the edges of ``facets``
+        c = cls(facets)
+        c._faces[1] = frozenset(edges)
+        return c
 
     @classmethod
     def _from_sorted_faces(cls, lists: list[list[tuple[int, ...]]]) -> "Complex":
@@ -224,17 +234,6 @@ def _increasing(facets: list) -> bool:
         return all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
     except TypeError:  # unorderable labels; the facet-by-facet path names them
         return False
-
-
-def _canonical(f) -> tuple:
-    """``f`` itself if it is a plain tuple already in order, else ``tuple(sorted(f))``.
-
-    The comparisons are the ones ``sorted`` makes first, in the same order,
-    so an unorderable facet raises the same error either way.
-    """
-    if type(f) is tuple and not any(map(lt, f[1:], f)):
-        return f
-    return tuple(sorted(f))
 
 
 def _scan(canon: list[tuple]) -> None:
@@ -383,13 +382,18 @@ def link(c: Complex, face) -> Complex:
 def vertex_links(c: Complex) -> Iterator[tuple[int, Complex]]:
     """Each vertex, in increasing order, with its link, equal to ``link(c, (v,))``.
 
-    The links are read off the sorted faces of ``c``: one pass drops each
-    (d+1)-face F into the bucket of every vertex of F, and the d-faces of the
-    link of v are F without v over v's bucket.  Each link is built only when
-    it is reached, from references to the faces of ``c``.
+    Raises DimensionTooLow for n < 2 at once.  The links are read off the
+    sorted faces of ``c``: one pass drops each (d+1)-face F into the bucket
+    of every vertex of F, and the d-faces of the link of v are F without v
+    over v's bucket.  Each link is built only when it is reached, from
+    references to the faces of ``c``.
     """
     if c.n < 2:
         raise DimensionTooLow(f"vertex links need n >= 2, got n = {c.n}")
+    return _vertex_links(c)
+
+
+def _vertex_links(c: Complex) -> Iterator[tuple[int, Complex]]:
     buckets = {v: [[] for _ in range(c.n - 1)] for v in sorted(c.vertices)}
     for d in range(1, c.n):
         for F in c.sorted_faces(d):
@@ -443,10 +447,10 @@ def graph_distance(c: Complex, u: int, v: int) -> int:
 class PseudomanifoldReport:
     """Outcome of the pseudomanifold checks, with the first counterexample.
 
+    Purity holds by construction, since every facet has n vertices.
     ``orientable`` comes from the same walk; it is None unless ``ok``.
     """
 
-    pure: bool
     ridges_ok: bool
     connected: bool
     detail: str = ""
@@ -454,19 +458,18 @@ class PseudomanifoldReport:
 
     @property
     def ok(self) -> bool:
-        return self.pure and self.ridges_ok and self.connected
+        return self.ridges_ok and self.connected
 
 
 def is_pseudomanifold(c: Complex) -> PseudomanifoldReport:
-    """Check purity, ridge valence two, and facet-adjacency connectivity.
+    """Check ridge valence two and facet-adjacency connectivity.
 
     Ridges are checked in ``c.ridges()`` order, so the first bad ridge is the
     same for every caller.  One walk of the facet graph then checks
-    connectivity and signs the facets: across a ridge, two facets keep the
-    same sign when the positions of their dropped vertices differ in parity,
-    and take opposite signs otherwise; the complex is orientable when no
-    ridge sees a conflict.  The walk never stops at a conflict, so a
-    disconnected complex is always reported as disconnected.
+    connectivity and signs the facets by the ridge signs of ``_across``; the
+    complex is orientable when no ridge sees a conflict.  The walk never
+    stops at a conflict, so a disconnected complex is always reported as
+    disconnected.
 
     The report is cached on the complex, so a complex is walked once however
     many callers ask.
@@ -476,28 +479,34 @@ def is_pseudomanifold(c: Complex) -> PseudomanifoldReport:
     return c._pm
 
 
+def _across(c: Complex) -> list[list[tuple[int, int]]]:
+    """``[i][p]`` is (j, flip): facet j lies across the ridge of facet i
+    without its vertex at position p, and flip is 0 (same sign) when the
+    dropped positions differ in parity, else 1.  Every ridge must lie in
+    exactly two facets."""
+    across = [[(0, 0)] * c.n for _ in c.facets]
+    for (i, pi), (j, pj) in c.ridges().values():
+        flip = (pi + pj + 1) & 1
+        across[i][pi] = (j, flip)
+        across[j][pj] = (i, flip)
+    return across
+
+
 def _walk_facet_graph(c: Complex) -> PseudomanifoldReport:
     if c.is_empty:
-        return PseudomanifoldReport(False, False, False, "empty complex")
-    # purity holds by construction (uniform facet cardinality); every vertex
-    # lies in a facet by construction as well
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in c.facets]
+        return PseudomanifoldReport(False, False, "empty complex")
     for ridge, incident in c.ridges().items():
         if len(incident) != 2:
             return PseudomanifoldReport(
-                True, False, False,
-                f"ridge {ridge} lies in {len(incident)} facets",
+                False, False, f"ridge {ridge} lies in {len(incident)} facets"
             )
-        (a, pa), (b, pb) = incident
-        flip = (pa + pb + 1) & 1  # 0: same sign, 1: opposite signs
-        neighbors[a].append((b, flip))
-        neighbors[b].append((a, flip))
+    across = _across(c)
     sign = {0: 0}
     stack = [0]
     orientable = True
     while stack:
         i = stack.pop()
-        for j, flip in neighbors[i]:
+        for j, flip in across[i]:
             want = sign[i] ^ flip
             if j not in sign:
                 sign[j] = want
@@ -506,7 +515,7 @@ def _walk_facet_graph(c: Complex) -> PseudomanifoldReport:
                 orientable = False
     if len(sign) != len(c.facets):
         return PseudomanifoldReport(
-            True, True, False,
+            True, False,
             f"facet-adjacency graph has >= 2 components ({len(sign)} of {len(c.facets)} reachable)",
         )
-    return PseudomanifoldReport(True, True, True, orientable=orientable)
+    return PseudomanifoldReport(True, True, orientable=orientable)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .complexes import Complex, distances_from, graph_distance, is_pseudomanifold
+from .complexes import Complex, _across, distances_from, graph_distance, is_pseudomanifold
 from .errors import (
     AlreadyOrientable,
     DimensionTooLow,
@@ -182,25 +182,16 @@ def kuhnel_complex(n: int) -> Complex:
     """Kuehnel's cyclic triangulation on 2n+1 vertices (Csaszar torus at n=3).
 
     Facets are the n-subsets of the cyclic translates of {1, ..., n+1}
-    modulo 2n+1, excluding the cyclically consecutive ones.
+    modulo 2n+1 that are not arcs: each window with one interior vertex
+    dropped, which leaves two gaps (an end leaves an arc); (2n+1)(n-1) facets.
     """
     if n < 3:
         raise DimensionTooLow("n must be at least 3")
     m = 2 * n + 1
-
-    def is_consecutive(subset: frozenset[int]) -> bool:
-        for a in subset:
-            if all(((a - 1 + t) % m) + 1 in subset for t in range(n)):
-                return True
-        return False
-
-    facets = set()
+    facets = []
     for t in range(m):
-        window = [((t + j) % m) + 1 for j in range(n + 1)]
-        for drop in window:
-            cand = frozenset(v for v in window if v != drop)
-            if not is_consecutive(cand):
-                facets.add(tuple(sorted(cand)))
+        window = [(t + j) % m + 1 for j in range(n + 1)]
+        facets += (tuple(sorted(window[:k] + window[k + 1 :])) for k in range(1, n))
     return Complex(facets)
 
 
@@ -218,7 +209,17 @@ def swapped_pairing(n: int, f0: int) -> Pairing:
 
 
 VARIANTS = ("standard", "swapped")
-_PAIRINGS = {"standard": standard_pairing, "swapped": swapped_pairing}
+
+
+def _iss_pairings(n: int, f0: int) -> dict[str, Pairing]:
+    """The pairings an ISS on f0 vertices can use, by variant, in the order
+    they are tried: the standard one, and the swapped one from f0 = 2n+2."""
+    if f0 < 2 * n + 1:
+        raise InfeasibleVertexCount(f"need f0 >= {2 * n + 1}, got {f0}")
+    pairings = {"standard": standard_pairing(n, f0)}
+    if f0 >= 2 * n + 2:
+        pairings["swapped"] = swapped_pairing(n, f0)
+    return pairings
 
 
 def build_iss_variant(n: int, f0: int, variant: str) -> Complex:
@@ -229,12 +230,11 @@ def build_iss_variant(n: int, f0: int, variant: str) -> Complex:
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if f0 < 2 * n + 1:
-        raise InfeasibleVertexCount(f"need f0 >= {2 * n + 1}, got {f0}")
-    if variant == "swapped" and f0 < 2 * n + 2:
+    pairings = _iss_pairings(n, f0)
+    if variant not in pairings:
         raise InfeasibleVertexCount(f"swapped pairing needs f0 >= {2 * n + 2}, got {f0}")
     sphere, _ = build_delta(n, f0)
-    return handle_addition(sphere, _PAIRINGS[variant](n, f0))
+    return handle_addition(sphere, pairings[variant])
 
 
 def construct_iss(n: int, f0: int, bundle: BundleType) -> Construction:
@@ -246,13 +246,9 @@ def construct_iss(n: int, f0: int, bundle: BundleType) -> Construction:
     neither does (e.g. the nonorientable bundle at the odd-n minimum
     f0 = 2n+1).  The notes are those of the pairing kept.
     """
-    if f0 < 2 * n + 1:
-        raise InfeasibleVertexCount(f"need f0 >= {2 * n + 1}, got {f0}")
+    pairings = _iss_pairings(n, f0)
     sphere, trace = build_delta(n, f0)
-    for variant in VARIANTS:
-        if variant == "swapped" and f0 < 2 * n + 2:
-            continue
-        pairing = _PAIRINGS[variant](n, f0)
+    for pairing in pairings.values():
         c = handle_addition(sphere, pairing)
         if verify.orientability(c) == bundle.orientable:
             return Construction(c, trace, pairing, tuple(cross_pair_flags(sphere, pairing)))
@@ -347,7 +343,8 @@ def orientation_double_cover(c: Complex) -> Complex:
     Copies of vertex v are labelled v, v + max_label, v + 2 max_label, ...
 
     Each facet keeps, by the position of the dropped vertex, the facet
-    across that ridge and whether crossing it swaps sheets.  The copies of
+    across that ridge and whether crossing it swaps sheets (``_across``:
+    the sheet swaps where the signs are opposite).  The copies of
     v are the classes of (facet, sheet) pairs of v's star joined across the
     ridges that contain v; a walk from each pair not yet reached, taken in
     (facet, sheet) order, finds them, so copies are numbered in the order
@@ -357,11 +354,7 @@ def orientation_double_cover(c: Complex) -> Complex:
         raise AlreadyOrientable("complex is already orientable")
 
     n, facets = c.n, c.facets
-    across: list[list[tuple[int, int]]] = [[(0, 0)] * n for _ in facets]
-    for (i, pi), (j, pj) in c.ridges().values():
-        flip = (pi + pj + 1) & 1  # swap sheets unless the dropped positions differ in parity
-        across[i][pi] = (j, flip)
-        across[j][pj] = (i, flip)
+    across = _across(c)
 
     shift = max(c.vertices)
     # label[(2 i + s) n + q]: the copy of facets[i][q] on sheet s

@@ -8,12 +8,12 @@ identified stacked sphere realises every edge count between n*f0 and the
 complete graph.
 
 Execution is self-verifying instead of trusting the inductive argument.
-Each move is checked once, locally, from the cone facets, the join facets
-and the facets that stay: both cones must be facets, A a non-edge, and the
+Each move is checked once, locally, by ``_flip``: both cones must be
+facets and A a non-edge (``_cones``, shared with ``is_flippable``), and the
 move must keep the vertex set and add exactly the edge A.  So the edge set
-is carried forward as edges + {A}, never enumerated again.  ``apply_move``
-validates one ``Complex`` per move; ``fill_to`` edits one facet set across
-the whole prefix and validates once, at the end.
+is carried forward as edges + {A}, never enumerated again, and installed
+on each validated result.  ``fill_to`` and ``iter_fill`` share one replay
+loop that edits a single facet set and edge set across the whole prefix.
 """
 
 from __future__ import annotations
@@ -60,23 +60,25 @@ class FillSchedule:
         return "\n".join(mv.to_text() for mv in self.moves) + ("\n" if self.moves else "")
 
 
+def _cones(facets, edges, mv: MoveSpec) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The two cone facets {a} + B of ``mv`` if both are in ``facets`` and A
+    is not in ``edges``; None otherwise."""
+    a1, a2 = mv.a
+    cones = (tuple(sorted((a1,) + mv.b)), tuple(sorted((a2,) + mv.b)))
+    if mv.a in edges or cones[0] not in facets or cones[1] not in facets:
+        return None
+    return cones
+
+
 def is_flippable(c: Complex, mv: MoveSpec) -> bool:
     """True iff the induced subcomplex on A + B is exactly the suspension of B.
 
     Equivalently: both facets {a} + B exist, and A is a non-edge (every
     subset of A + B missing one A-vertex then lies in one of the two cone
-    facets, and no face contains both A-vertices).  Moves do not call it.
+    facets, and no face contains both A-vertices); cones that are facets
+    give |B| = n - 1 and A + B within the vertices.  Moves do not call it.
     """
-    if len(mv.b) != c.n - 1:
-        return False
-    if not set(mv.a) | set(mv.b) <= c.vertices:
-        return False
-    a1, a2 = mv.a
-    if mv.a in c.faces(1):
-        return False
-    cone1 = tuple(sorted((a1,) + mv.b))
-    cone2 = tuple(sorted((a2,) + mv.b))
-    return cone1 in c.facets and cone2 in c.facets
+    return _cones(set(c.facets), c.faces(1), mv) is not None
 
 
 def _skeleton(facets) -> set[tuple[int, ...]]:
@@ -89,15 +91,14 @@ def _flip(facets: set, edges: set, mv: MoveSpec) -> None:
 
     Raises NotFlippable, leaving both sets as they were, unless the move
     keeps the vertex set and adds exactly the edge A.  That is decided
-    locally: both cone facets {a} + B must be present and A must be a
-    non-edge, and then every vertex and edge of the cones must lie in a join
-    facet A + (B - {b}) or in a facet that stays.  The join covers all of
-    them once |B| >= 3.  At n = 3 the flip drops the edge B, and at n = 2
-    the vertex b and its two edges, unless another facet holds them.
+    locally: ``_cones`` must find both cone facets and A a non-edge, and then
+    every vertex and edge of the cones must lie in a join facet
+    A + (B - {b}) or in a facet that stays.  The join covers all of them
+    once |B| >= 3.  At n = 3 the flip drops the edge B, and at n = 2 the
+    vertex b and its two edges, unless another facet holds them.
     """
-    a1, a2 = mv.a
-    cones = {tuple(sorted((a1,) + mv.b)), tuple(sorted((a2,) + mv.b))}
-    if mv.a in edges or not cones <= facets:
+    cones = _cones(facets, edges, mv)
+    if cones is None:
         raise NotFlippable(f"{mv.to_text()} did not add exactly one edge")
     joins = {tuple(sorted(mv.a + mv.b[:i] + mv.b[i + 1 :])) for i in range(len(mv.b))}
     lost = _skeleton(cones) - _skeleton(joins)
@@ -107,7 +108,7 @@ def _flip(facets: set, edges: set, mv: MoveSpec) -> None:
         raise NotFlippable(f"{mv.to_text()} changed the vertex set")
     if lost:
         raise NotFlippable(f"{mv.to_text()} did not add exactly one edge")
-    facets -= cones
+    facets.difference_update(cones)
     facets |= joins
     edges.add(mv.a)
 
@@ -119,14 +120,25 @@ def apply_move(c: Complex, mv: MoveSpec) -> Complex:
     edges plus A, carried over rather than enumerated again.
 
     ``_flip`` is the one check.  It refuses what ``is_flippable`` refuses,
-    as a wrong B or a vertex outside ``c`` leaves a cone out of the facets,
-    and it raises before a vertex is lost; the join facets add none.
+    through the same ``_cones``, and it raises before a vertex is lost; the
+    join facets add none.
     """
     facets, edges = set(c.facets), set(c.faces(1))
     _flip(facets, edges, mv)
-    result = Complex(facets)
-    result._faces[1] = frozenset(edges)  # _flip showed these are exactly its edges
-    return result
+    return Complex._with_edges(facets, edges)
+
+
+def _replay(c: Complex, moves) -> Iterator[tuple[set, set]]:
+    """Flip ``moves`` in turn on one copy of the facets and edges of ``c``,
+    yielding both sets, edited in place, after each move.  A move that
+    ``_flip`` refuses raises ScheduleInvalid with its index."""
+    facets, edges = set(c.facets), set(c.faces(1))
+    for idx, mv in enumerate(moves):
+        try:
+            _flip(facets, edges, mv)
+        except NotFlippable as exc:
+            raise ScheduleInvalid(f"move {idx} not flippable: {mv.to_text()}") from exc
+        yield facets, edges
 
 
 def _norm(x: int, f0: int) -> int:
@@ -181,7 +193,8 @@ def fill_to(c: Complex, schedule: FillSchedule, target_f1: int) -> Complex:
     """Replay the schedule prefix that brings the edge count to ``target_f1``.
 
     The prefix edits one facet set and one edge set, and one ``Complex`` is
-    validated at the end; ``c`` itself is returned when no move is needed.
+    validated at the end, with the edge set ``_flip`` proved installed;
+    ``c`` itself is returned when no move is needed.
     """
     f0 = c.num_vertices
     f1 = len(c.faces(1))
@@ -196,32 +209,18 @@ def fill_to(c: Complex, schedule: FillSchedule, target_f1: int) -> Complex:
         )
     if steps == 0:
         return c
-    facets, edges = set(c.facets), set(c.faces(1))
-    for idx, mv in enumerate(schedule.moves[:steps]):
-        try:
-            _flip(facets, edges, mv)
-        except NotFlippable as exc:
-            raise ScheduleInvalid(f"move {idx} not flippable: {mv.to_text()}") from exc
-    result = Complex(facets)
-    if result.vertices != c.vertices or result.faces(1) != edges:
-        raise ScheduleInvalid(
-            f"replaying {steps} moves changed the vertex set or did not add exactly "
-            f"{steps} edges"
-        )
-    return result
+    for facets, edges in _replay(c, schedule.moves[:steps]):
+        pass
+    return Complex._with_edges(facets, edges)
 
 
 def iter_fill(c: Complex, schedule: FillSchedule) -> Iterator[Complex]:
     """Yield ``c`` and then every prefix of the schedule's replay: prefix t
-    is the validated ``Complex`` that ``apply_move`` returns, with
-    f1 = f1(c) + t."""
+    is a validated ``Complex`` with f1 = f1(c) + t, equal to the one
+    ``apply_move`` returns, made from the one replay loop ``fill_to`` runs."""
     yield c
-    for idx, mv in enumerate(schedule.moves):
-        try:
-            c = apply_move(c, mv)
-        except NotFlippable as exc:
-            raise ScheduleInvalid(f"move {idx} not flippable: {mv.to_text()}") from exc
-        yield c
+    for facets, edges in _replay(c, schedule.moves):
+        yield Complex._with_edges(facets, edges)
 
 
 def feasible_region(k: int, f0: int, bundle: BundleType) -> tuple[int, int] | None:

@@ -36,7 +36,7 @@ from math import gcd
 from typing import TypeVar
 
 from .complexes import Complex, PseudomanifoldReport, is_pseudomanifold, vertex_links
-from .errors import DimensionTooLow, InvalidWitness, NotPseudomanifold
+from .errors import InvalidWitness, NotPseudomanifold
 
 K = TypeVar("K")
 
@@ -236,12 +236,11 @@ def manifold_evidence(c: Complex) -> ManifoldEvidence:
     Passing is evidence of manifoldness only; full sphere recognition is out
     of reach.
     """
-    if c.n < 2:
-        raise DimensionTooLow(f"vertex links need n >= 2, got n = {c.n}")
+    links = vertex_links(c)  # raises DimensionTooLow for n < 2
     pm = is_pseudomanifold(c)
     expected = _sphere_betti(c.n - 2)
     checks = []
-    for v, lk in vertex_links(c):
+    for v, lk in links:
         betti = betti_numbers(lk)
         lk_pm = is_pseudomanifold(lk)
         ori = bool(lk_pm.orientable)
@@ -320,7 +319,10 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
         vs.sort()
 
     adj_a = a.adjacency()
-    b_faces = [b.faces(d) for d in range(b.n)]
+    # one set for this call, so no face index of b stays cached on it
+    b_faces = set(
+        chain.from_iterable(combinations(F, k) for k in range(1, b.n + 1) for F in b.facets)
+    )
     a_facets = a.facets
     star_a = a.stars()
 
@@ -344,7 +346,7 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
             img = [mapping[u] for u in a_facets[i] if u in mapping]
             img.append(w)
             img.sort()
-            if tuple(img) not in b_faces[len(img) - 1]:
+            if tuple(img) not in b_faces:
                 return False
         return True
 

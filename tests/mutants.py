@@ -1,16 +1,22 @@
-"""Raise-to-pass mutation check: does some test notice when a guard is gone?
+"""Mutation check: does some test notice when a guard is gone or a bound moves?
 
 Run from anywhere, with the standard library and the test extra installed:
 
     python3 tests/mutants.py
 
-There is one mutant per ``raise`` statement of ``src/spherebundles/*.py``,
-in file and line order: that statement is replaced by ``pass``.  Each mutant
-is written into its own copy of the repository, and the tier-1 suite runs
-there, stopping at the first failure, without the slow acceptance 03; two
-suites run at once.  A mutant is *killed* when the suite fails, *survived*
-when it passes, and *allowed* when it passes but its guard is on the
-allow-list below.
+There are two kinds of mutant, each in file and line order:
+
+- *raise*: one per ``raise`` statement of ``src/spherebundles/*.py``, which
+  is replaced by ``pass``;
+- *flip*: one per comparison operator of ``complexes.py``, ``handles.py``
+  and ``moves.py``, which is swapped with its neighbour: ``<`` with ``<=``,
+  ``>`` with ``>=``, ``==`` with ``!=``.
+
+The raise mutants run first.  Each mutant is written into its own copy of
+the repository, and the tier-1 suite runs there, stopping at the first
+failure, without the slow acceptance 03; two suites run at once.  A mutant
+is *killed* when the suite fails, *survived* when it passes, and *allowed*
+when it passes but is on the allow-list below.
 
 One JSON verdict per mutant goes to stdout, in mutant order, and a summary
 to stderr.  The exit status is 1 if any mutant survives, and 2 if the suite
@@ -20,12 +26,14 @@ fails on the unmutated copy.  The file is not collected by pytest.
 from __future__ import annotations
 
 import ast
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,52 +49,122 @@ PYTEST = (
 TIMEOUT_S = 300
 WORKERS = 2
 
-# (file, text of the raise statement): why no test can reach it
+FLIP_FILES = ("complexes.py", "handles.py", "moves.py")
+FLIPS = {
+    ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
+    ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
+}
+
+# (file, a fragment of the mutant's label): why no test can tell it apart.
+# A raise is labelled "function: statement", a flip "function: comparison -> mutated".
 ALLOWED = {
     ("verify.py", "does not carry facets onto facets"):
         "are_isomorphic's witness self-check: the search only completes mappings "
         "that carry every facet onto a facet",
-    ("cli.py", '"unreachable"'):
-        "argparse admits only the subcommands that run() handles above it",
     ("handles.py", "reduced pairing"):
         "two_stack_reduction's distance self-check: the reduction keeps every "
         "matched distance at least three",
+    ("complexes.py", "min(vertices) >= 1 -> min(vertices) > 1"):
+        "a whole-list pass that fails only sends valid input to _scan, which finds "
+        "no fault: a least label of 1 is valid either way",
 }
 
 
 @dataclass(frozen=True)
 class Mutant:
+    """Replace the text from (line, col) to (end_line, end_col) by ``new``;
+    lines count from 1 and columns, in characters, from 0."""
+
+    kind: str
     file: str
     line: int
     end_line: int
     col: int
     end_col: int
-    text: str
+    new: str
+    label: str
 
     @property
     def allowed(self) -> bool:
-        return any(file == self.file and fragment in self.text for file, fragment in ALLOWED)
+        return any(file == self.file and fragment in self.label for file, fragment in ALLOWED)
+
+
+def _functions(tree: ast.AST) -> dict[ast.AST, str]:
+    """Each node mapped to the dotted name of the function or class around it."""
+    names: dict[ast.AST, str] = {}
+
+    def visit(node: ast.AST, name: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+            names[child] = inner
+            visit(child, inner)
+
+    visit(tree, "")
+    return names
+
+
+def _char_col(lines: list[str], line: int, col: int) -> int:
+    # ast counts columns in UTF-8 bytes
+    return len(lines[line - 1].encode("utf-8")[:col].decode("utf-8"))
 
 
 def mutants() -> list[Mutant]:
-    """Every raise statement of the package, in file and line order."""
-    found = []
+    """Every raise mutant of the package, then every flip mutant."""
+    raises, flips = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        raises = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Raise)]
-        for node in sorted(raises, key=lambda n: (n.lineno, n.col_offset)):
-            found.append(Mutant(
-                path.name, node.lineno, node.end_lineno, node.col_offset,
-                node.end_col_offset, ast.get_source_segment(source, node),
-            ))
-    return found
+        lines = source.splitlines(keepends=True)
+        tree = ast.parse(source)
+        where = _functions(tree)
+        nodes = sorted(
+            (n for n in ast.walk(tree) if isinstance(n, (ast.Raise, ast.Compare))),
+            key=lambda n: (n.lineno, n.col_offset),
+        )
+        ops = [
+            t for t in tokenize.generate_tokens(io.StringIO(source).readline)
+            if t.type == tokenize.OP
+        ]
+        for node in nodes:
+            text = ast.get_source_segment(source, node)
+            if isinstance(node, ast.Raise):
+                raises.append(Mutant(
+                    "raise", path.name, node.lineno, node.end_lineno,
+                    _char_col(lines, node.lineno, node.col_offset),
+                    _char_col(lines, node.end_lineno, node.end_col_offset),
+                    "pass", f"{where[node]}: {text}",
+                ))
+                continue
+            if path.name not in FLIP_FILES:
+                continue
+            operands = [node.left, *node.comparators]
+            for k, op in enumerate(node.ops):
+                if type(op) not in FLIPS:
+                    continue
+                old, new = FLIPS[type(op)]
+                before, after = operands[k], operands[k + 1]
+                start = (before.end_lineno, _char_col(lines, before.end_lineno, before.end_col_offset))
+                stop = (after.lineno, _char_col(lines, after.lineno, after.col_offset))
+                (tok,) = [t for t in ops if start <= t.start and t.end <= stop and t.string == old]
+                # the comparison as the mutant reads it
+                rows = text.splitlines(keepends=True)[: tok.start[0] - node.lineno]
+                at = sum(map(len, rows)) + tok.start[1]
+                if not rows:
+                    at -= _char_col(lines, node.lineno, node.col_offset)
+                mutated = text[:at] + new + text[at + len(old) :]
+                flips.append(Mutant(
+                    "flip", path.name, tok.start[0], tok.end[0], tok.start[1], tok.end[1], new,
+                    f"{where[node]}: {' '.join(text.split())} -> {' '.join(mutated.split())}",
+                ))
+    return raises + flips
 
 
 def mutate(source: str, m: Mutant) -> str:
-    """``source`` with the raise statement of ``m`` replaced by ``pass``."""
+    """``source`` with the text that ``m`` names replaced."""
     lines = source.splitlines(keepends=True)
     first, last = lines[m.line - 1], lines[m.end_line - 1]
-    lines[m.line - 1 : m.end_line] = [first[: m.col] + "pass" + last[m.end_col :]]
+    lines[m.line - 1 : m.end_line] = [first[: m.col] + m.new + last[m.end_col :]]
     return "".join(lines)
 
 
@@ -120,7 +198,10 @@ def run_mutant(m: Mutant) -> dict:
         target.write_text(mutate(target.read_text(encoding="utf-8"), m), encoding="utf-8")
         passed, seconds = _suite(copy)
     verdict = "killed" if not passed else "allowed" if m.allowed else "survived"
-    return {"file": m.file, "line": m.line, "verdict": verdict, "seconds": round(seconds, 2)}
+    return {
+        "kind": m.kind, "file": m.file, "line": m.line, "mutant": m.label,
+        "verdict": verdict, "seconds": round(seconds, 2),
+    }
 
 
 def main() -> int:
@@ -132,21 +213,22 @@ def main() -> int:
         return 2
 
     todo = mutants()
-    counts = {"killed": 0, "survived": 0, "allowed": 0}
+    counts = {kind: {"killed": 0, "survived": 0, "allowed": 0} for kind in ("raise", "flip")}
     start = perf_counter()
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         for m, result in zip(todo, pool.map(run_mutant, todo)):
-            counts[result["verdict"]] += 1
+            counts[m.kind][result["verdict"]] += 1
             print(json.dumps(result), flush=True)
             if result["verdict"] == "survived":
-                print(f"survived: {m.file}:{m.line}: {m.text.splitlines()[0]}", file=sys.stderr)
-    print(
-        f"{len(todo)} mutants: {counts['killed']} killed, {counts['allowed']} allowed, "
-        f"{counts['survived']} survived, {perf_counter() - start:.0f} s "
-        f"(baseline suite {seconds:.1f} s)",
-        file=sys.stderr,
-    )
-    return 1 if counts["survived"] else 0
+                print(f"survived: {m.file}:{m.line}: {m.label.splitlines()[0]}", file=sys.stderr)
+    for kind, c in counts.items():
+        print(
+            f"{sum(c.values())} {kind} mutants: {c['killed']} killed, {c['allowed']} allowed, "
+            f"{c['survived']} survived",
+            file=sys.stderr,
+        )
+    print(f"{perf_counter() - start:.0f} s (baseline suite {seconds:.1f} s)", file=sys.stderr)
+    return 1 if any(c["survived"] for c in counts.values()) else 0
 
 
 if __name__ == "__main__":

@@ -44,6 +44,13 @@ def test_from_facets_mixed_cardinality():
         sb.from_facets([{1, 2, 3}, {1, 2, 3, 4}])
 
 
+def test_mixed_widths_are_refused_when_the_label_count_fits():
+    # 3 + 2 + 4 labels are 3 per facet, as in three triangles, so only the
+    # width pass tells these facets apart from a pure complex
+    with pytest.raises(MixedCardinality, match=r"^facet sizes \[2, 3, 4\] are mixed$"):
+        sb.Complex([(1, 2, 3), (2, 3), (4, 5, 6, 7)])
+
+
 def test_from_facets_empty():
     with pytest.raises(EmptyInput):
         sb.from_facets([])
@@ -132,10 +139,10 @@ def test_constructor_keeps_sorted_tuples_and_copies_the_rest():
     given_facets = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     c = sb.Complex(given_facets)
     assert all(F is G for F, G in zip(c.facets, given_facets))
-    listed, unsorted, kept = [1, 2, 3], (4, 2, 1), (1, 3, 4)
-    c = sb.Complex([listed, unsorted, kept])
+    listed, unsorted, ordered = [1, 2, 3], (4, 2, 1), (1, 3, 4)
+    c = sb.Complex([listed, unsorted, ordered])
     assert c.facets == ((1, 2, 3), (1, 2, 4), (1, 3, 4))
-    assert type(c.facets[0]) is tuple and c.facets[2] is kept
+    assert type(c.facets[0]) is tuple
 
 
 def test_constructor_accepts_int_subclasses_but_not_bool():

@@ -202,6 +202,30 @@ def test_kuhnel_n4_two_neighborly():
     assert f.f(1) == 4 * f.f(0)
 
 
+def _kuhnel_by_window_scan(n):
+    """Reference: every n-subset of a cyclic window of n+1 vertices that is
+    not n cyclically consecutive vertices, found by scanning for an arc."""
+    m = 2 * n + 1
+
+    def is_arc(subset):
+        return any(all((a - 1 + t) % m + 1 in subset for t in range(n)) for a in subset)
+
+    facets = set()
+    for t in range(m):
+        window = frozenset((t + j) % m + 1 for j in range(n + 1))
+        for drop in window:
+            if not is_arc(window - {drop}):
+                facets.add(tuple(sorted(window - {drop})))
+    return sb.Complex(facets)
+
+
+def test_kuhnel_facets_equal_the_window_scan():
+    for n in range(3, 13):
+        k = sb.kuhnel_complex(n)
+        assert k == _kuhnel_by_window_scan(n)
+        assert len(k.facets) == (2 * n + 1) * (n - 1)
+
+
 def test_miss_isomorphic_to_kuhnel():
     for n in (3, 4, 5):
         w = sb.are_isomorphic(sb.build_miss(n), sb.kuhnel_complex(n))

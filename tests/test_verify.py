@@ -559,6 +559,11 @@ def test_link_pass_needs_edges():
         next(sb.vertex_links(sb.Complex([(1,), (2,)])))
 
 
+def test_vertex_links_checks_before_it_is_iterated():
+    with pytest.raises(DimensionTooLow, match=r"^vertex links need n >= 2, got n = 1$"):
+        sb.vertex_links(sb.Complex([(1,), (2,)]))
+
+
 def test_vertex_links_of_a_cycle():
     # n = 2, the least n with vertex links: each link is two points, a 0-sphere
     square = sb.Complex([(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -612,6 +617,12 @@ def test_isomorphism_witness_carries_facets():
     assert w is not None
     image = {tuple(sorted(w.mapping[v] for v in F)) for F in a.facets}
     assert image == set(b.facets)
+
+
+def test_isomorphism_leaves_no_face_index_on_the_target():
+    a, b = sb.build_miss(4), sb.kuhnel_complex(4)
+    assert sb.are_isomorphic(a, b) is not None
+    assert b._faces == [None] * b.n
 
 
 def test_isomorphism_reflexive_and_symmetric():
