@@ -14,7 +14,8 @@ caller's own object, not copied; tuples are immutable, so sharing one
 between the caller and the complex, or between a complex and the next one
 made from its facets, is safe, and a replay that keeps every prefix holds
 each facet once; otherwise each becomes ``tuple(sorted(f))``.  The
-facet-by-facet scan runs only when a pass fails, to name the first fault.
+facet-by-facet scan runs only when a pass fails, to name the first fault,
+or when labels do not compare, so that the facets cannot be sorted.
 Moves build through ``Complex._with_edges``, which also installs the edge
 set the move proved, so no other module touches the caches below.
 
@@ -67,7 +68,8 @@ class Complex:
     caller's object; otherwise every facet becomes ``tuple(sorted(f))``.
     Only when a pass fails does the facet-by-facet scan run, which raises
     the same first fault, with the same message, as checking each facet in
-    turn.
+    turn.  Labels that do not compare, such as 1 and "x", are named by the
+    same scan over the facets in the given order.
     """
 
     __slots__ = (
@@ -77,8 +79,13 @@ class Complex:
     def __init__(self, facets):
         facets = list(facets)
         increasing = _increasing(facets)
-        # Of equal facets, such as (1, 2) and (True, 2), the set keeps the first.
-        canon = sorted(set(facets) if increasing else {tuple(sorted(f)) for f in facets})
+        if not increasing:
+            facets = list(map(tuple, facets))  # a facet given as an iterator is read once
+        try:
+            # Of equal facets, such as (1, 2) and (True, 2), the set keeps the first.
+            canon = sorted(set(facets) if increasing else {tuple(sorted(f)) for f in facets})
+        except TypeError:  # labels that do not compare: a label that is not an int
+            _scan(facets)  # names the first fault in the given order
         n = len(canon[0]) if canon else 0
         vertices = frozenset(chain.from_iterable(canon))
         # Whole-list passes; `and` stops at the first that fails, and only
@@ -232,20 +239,21 @@ def _increasing(facets: list) -> bool:
     columns = list(zip(*facets))
     try:
         return all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
-    except TypeError:  # unorderable labels; the facet-by-facet path names them
+    except TypeError:  # unorderable labels; the facet-by-facet scan names them
         return False
 
 
-def _scan(canon: list[tuple]) -> None:
-    """Raise the first fault of ``canon`` facet by facet: mixed widths, then
-    in facet order a repeated vertex or a label that is not a positive int.
+def _scan(facets: list[tuple]) -> None:
+    """Raise the first fault of ``facets`` facet by facet: mixed widths,
+    then in facet order a repeated vertex or a label that is not a positive
+    int.
 
     Accepts int subclasses other than bool, such as IntEnum members.
     """
-    widths = {len(f) for f in canon}
+    widths = {len(f) for f in facets}
     if len(widths) > 1:
         raise MixedCardinality(f"facet sizes {sorted(widths)} are mixed")
-    for f in canon:
+    for f in facets:
         if len(set(f)) != len(f):
             raise ValueError(f"facet {f} repeats a vertex")
         for v in f:

@@ -1,17 +1,20 @@
 """Stacked spheres: scheduled subdivision, distance vectors, recognition.
 
 A stacked sphere is the boundary of a simplex after repeatedly subdividing
-facets (replace a facet by the cone from a new vertex over its boundary).
-The builder here follows one fixed schedule: step i subdivides the facet
-{i+1, ..., n+i} with new vertex n+i+1, so that the sphere built after i-1
-steps has vertices 1..n+i and distances to the first n vertices obey a
-min-recursion that can be tabulated without touching the complex itself.
+facets (replace a facet by the cone from a new vertex over its boundary,
+``_cone``).  The builder here follows one fixed schedule: step i subdivides
+the facet {i+1, ..., n+i} with new vertex n+i+1, so that the sphere built
+after i-1 steps has vertices 1..n+i and distances to the first n vertices
+obey a min-recursion that can be tabulated without touching the complex
+itself.  Recognition undoes subdivisions greedily, which is proved enough
+in ``recognize_stacked``; no search is needed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .complexes import Complex
 from .errors import DimensionTooLow, InfeasibleVertexCount, NotAFacet, VertexInUse
@@ -60,6 +63,11 @@ def boundary_of_simplex(n: int) -> Complex:
     return Complex([tuple(v for v in verts if v != skip) for skip in verts])
 
 
+def _cone(F: tuple[int, ...], v: int) -> tuple[tuple[int, ...], ...]:
+    # the cone from v over the boundary of F: F - {u} + {v}, sorted, for u in F's order
+    return tuple(tuple(sorted(F[:k] + F[k + 1 :] + (v,))) for k in range(len(F)))
+
+
 def subdivide_facet(c: Complex, facet, new_vertex: int) -> Complex:
     """Replace ``facet`` by the n facets coning ``new_vertex`` over its boundary."""
     F = tuple(sorted(facet))
@@ -67,10 +75,7 @@ def subdivide_facet(c: Complex, facet, new_vertex: int) -> Complex:
         raise NotAFacet(f"{F} is not a facet")
     if new_vertex in c.vertices:
         raise VertexInUse(f"vertex {new_vertex} already in use")
-    out = [G for G in c.facets if G != F]
-    for u in F:
-        out.append(tuple(sorted((set(F) - {u}) | {new_vertex})))
-    return Complex(out)
+    return Complex([G for G in c.facets if G != F] + list(_cone(F, new_vertex)))
 
 
 def build_delta(n: int, i: int) -> tuple[Complex, SubdivisionTrace]:
@@ -85,10 +90,8 @@ def build_delta(n: int, i: int) -> tuple[Complex, SubdivisionTrace]:
     validated, as a ``Complex``.  No step checks that its facet is present:
     {2, ..., n+1} is a facet of the simplex boundary, and for j >= 2 step
     j-1 creates {j+1, ..., n+j} as the cone facet that drops j, which only
-    step j removes.  The new vertex exceeds every label in use, so appending
-    it keeps each cone facet sorted.
-    ``trace.replay()`` rebuilds the same sphere through ``subdivide_facet``,
-    which does check.
+    step j removes.  ``trace.replay()`` rebuilds the same sphere through
+    ``subdivide_facet``, which does check.
     """
     if n < 3:
         raise DimensionTooLow("n must be at least 3")
@@ -103,7 +106,7 @@ def build_delta(n: int, i: int) -> tuple[Complex, SubdivisionTrace]:
         F = tuple(range(j + 1, n + j + 1))
         v = n + j + 1
         facets.remove(F)
-        facets.update(F[:k] + F[k + 1 :] + (v,) for k in range(n))
+        facets.update(_cone(F, v))
         steps.append(SubdivisionStep(F, v))
     return Complex(facets), SubdivisionTrace(base, tuple(steps))
 
@@ -142,71 +145,55 @@ def distance_table(n: int, i: int) -> DistanceTable:
     return DistanceTable(n, tuple(cols))
 
 
-def _is_simplex_boundary(facets: frozenset, n: int) -> bool:
-    verts = set()
-    for f in facets:
-        verts.update(f)
-    if len(verts) != n + 1 or len(facets) != n + 1:
-        return False
-    vs = sorted(verts)
-    need = {tuple(v for v in vs if v != skip) for skip in vs}
-    return facets == need
-
-
-def _reversal_candidates(facets: frozenset, n: int):
-    """Vertices whose star is a cone over a simplex boundary, with the facet to restore."""
-    incident: dict[int, list] = {}
-    for f in facets:
-        for v in f:
-            incident.setdefault(v, []).append(f)
-    out = []
-    for v in sorted(incident):
-        stars = incident[v]
-        if len(stars) != n:
-            continue
-        union = set()
-        for f in stars:
-            union.update(f)
-        union.discard(v)
-        if len(union) != n:
-            continue
-        W = tuple(sorted(union))
-        if W in facets:
-            continue  # restoring W would collide; not a reversible subdivision
-        out.append((v, W, stars))
-    return out
-
-
 def recognize_stacked(c: Complex):
     """Recover a subdivision trace if ``c`` is a stacked sphere, else ``None``.
 
-    Works backwards: repeatedly find a vertex of degree n whose star is the
-    cone over the boundary of the facet it subdivided, and undo that
-    subdivision.  Greedy reversal is believed sufficient at n >= 4, but the
-    search backtracks over candidate vertices so the answer is sound
-    regardless; visited states are memoised.
+    Greedy peeling, without search.  While the facets are not n+1 facets on
+    n+1 vertices, take the largest vertex v whose star has n facets, whose
+    other star vertices form an n-set W, and for which W is not a facet;
+    peel v: drop its star and add W.  When no vertex qualifies, the answer
+    is ``None``.  The star is then the cone from v over the boundary of W
+    (n distinct (n-1)-subsets of an n-set are all of them), so the steps
+    read backwards replay to ``c``; and n+1 distinct n-subsets of an
+    (n+1)-set are all of them, so the base is the boundary of a simplex.
+
+    Why any qualifying v works on a stacked sphere S with more than n+1
+    vertices.  S bounds a stacked n-ball B, and every face of B of dimension
+    at most n-2 lies in S: each new simplex keeps every older low face on
+    the boundary.  So for n >= 3 the edges of B at v are those of S, v's
+    neighbours in B are W, and W + {v} is the only simplex of B through v.
+    It is a leaf of B's dual tree, glued along W: every other ridge of it
+    contains v, so it lies in no other simplex of B.  Removing it leaves a
+    stacked ball whose boundary is S with v's subdivision undone, which is
+    stacked again; and the last vertex added always qualifies.  So peeling
+    never gets stuck on a stacked sphere, and on any other complex it stops
+    with ``None``, since a trace that it finds replays to the input.  Taking
+    the largest v gives the trace that a depth-first search over every
+    candidate, popping the last one pushed, finds first.
     """
     n = c.n
     if n < 3 or c.num_vertices < n + 1:
         return None
-    start = frozenset(c.facets)
-    visited = set()
-    # iterative DFS; each stack frame carries the peeled steps so far
-    stack = [(start, ())]
-    while stack:
-        facets, peeled = stack.pop()
-        if facets in visited:
-            continue
-        visited.add(facets)
-        if _is_simplex_boundary(facets, n):
-            base = Complex(list(facets))
-            steps = tuple(SubdivisionStep(W, v) for v, W in reversed(peeled))
-            return SubdivisionTrace(base, steps)
-        for v, W, stars in _reversal_candidates(facets, n):
-            nxt = (facets - frozenset(stars)) | {W}
-            if nxt not in visited:
-                stack.append((nxt, peeled + ((v, W),)))
-    return None
+    facets = set(c.facets)
+    peeled = []
+    while True:
+        stars: dict[int, list[tuple[int, ...]]] = {}
+        for F in facets:
+            for v in F:
+                stars.setdefault(v, []).append(F)
+        if len(facets) == n + 1 and len(stars) == n + 1:
+            break
+        for v in sorted(stars, reverse=True):
+            if len(stars[v]) == n:
+                W = tuple(sorted(set(chain.from_iterable(stars[v])) - {v}))
+                if len(W) == n and W not in facets:
+                    break
+        else:
+            return None
+        facets.difference_update(stars[v])
+        facets.add(W)
+        peeled.append(SubdivisionStep(W, v))
+    return SubdivisionTrace(Complex(facets), tuple(reversed(peeled)))
 
 
 @dataclass(frozen=True)
@@ -239,10 +226,7 @@ def stack_decomposition(trace: SubdivisionTrace) -> StackDecomposition:
     created: list[tuple[tuple[int, ...], ...]] = []
     for t, step in enumerate(trace.steps):
         parent.append(created_by.get(step.facet))
-        made = tuple(
-            tuple(sorted((set(step.facet) - {u}) | {step.new_vertex}))
-            for u in step.facet
-        )
+        made = _cone(step.facet, step.new_vertex)
         created.append(made)
         for f in made:
             created_by[f] = t

@@ -29,6 +29,7 @@ rows are never built.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -263,29 +264,29 @@ class IsoWitness:
     mapping: dict[int, int]
 
 
-def _face_counts(c: Complex) -> dict[int, tuple[int, ...]]:
+def _faces(c: Complex) -> set[tuple[int, ...]]:
+    # every face of c, of sizes 1..n, as one local set: nothing is cached on c
+    return set(chain.from_iterable(combinations(F, k) for k in range(1, c.n + 1) for F in c.facets))
+
+
+def _face_counts(c: Complex, faces: set[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
     """Each vertex v, in increasing order, mapped to the numbers of k-faces
     of c that contain v for k = 1..n-1: the f-vector of v's link, without
     its leading 1.
 
-    Counted on v's star: the k-faces through v are v joined to the k-subsets
-    of the star's facets without v.
+    Read from ``faces``, the set ``_faces(c)``, by one count of its
+    (size, vertex) pairs.
     """
-    counts = {}
-    for v, star in c.stars().items():
-        facets = map(c.facets.__getitem__, star)
-        rest = [F[:i] + F[i + 1 :] for F in facets for i in (F.index(v),)]
-        counts[v] = tuple(
-            len(set(chain.from_iterable(combinations(R, k) for R in rest))) for k in range(1, c.n)
-        )
-    return counts
+    count = Counter((len(f), v) for f in faces for v in f)
+    return {v: tuple(count[k, v] for k in range(2, c.n + 1)) for v in sorted(c.vertices)}
 
 
 def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
     """Search for a facet-preserving vertex bijection.
 
-    Each vertex is coloured by its face counts (``_face_counts``), and a
-    vertex of ``a`` is only tried on vertices of ``b`` of its colour.  The
+    Each complex is expanded into its faces once (``_faces``); each vertex
+    is coloured by its face counts, read from that set (``_face_counts``),
+    and a vertex of ``a`` is only tried on vertices of ``b`` of its colour.  The
     vertices of ``a`` are mapped in a fixed order: most neighbours among the
     vertices already ordered, then rarest colour, then least label.  A
     depth-first search over an explicit stack, one iterator of untried
@@ -308,21 +309,16 @@ def are_isomorphic(a: Complex, b: Complex) -> IsoWitness | None:
     """
     if a.n != b.n or a.num_vertices != b.num_vertices or len(a.facets) != len(b.facets):
         return None
-    sig_a = _face_counts(a)
-    sig_b = _face_counts(b)
+    b_faces = _faces(b)
+    sig_a = _face_counts(a, _faces(a))
+    sig_b = _face_counts(b, b_faces)
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return None
-    by_sig: dict[tuple, list[int]] = {}
+    by_sig: dict[tuple, list[int]] = {}  # each list in increasing vertex order
     for v, s in sig_b.items():
         by_sig.setdefault(s, []).append(v)
-    for vs in by_sig.values():
-        vs.sort()
 
     adj_a = a.adjacency()
-    # one set for this call, so no face index of b stays cached on it
-    b_faces = set(
-        chain.from_iterable(combinations(F, k) for k in range(1, b.n + 1) for F in b.facets)
-    )
     a_facets = a.facets
     star_a = a.stars()
 

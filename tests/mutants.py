@@ -8,9 +8,9 @@ There are two kinds of mutant, each in file and line order:
 
 - *raise*: one per ``raise`` statement of ``src/spherebundles/*.py``, which
   is replaced by ``pass``;
-- *flip*: one per comparison operator of ``complexes.py``, ``handles.py``
-  and ``moves.py``, which is swapped with its neighbour: ``<`` with ``<=``,
-  ``>`` with ``>=``, ``==`` with ``!=``.
+- *flip*: one per comparison operator of ``complexes.py``, ``handles.py``,
+  ``moves.py`` and ``stacked.py``, which is swapped with its neighbour:
+  ``<`` with ``<=``, ``>`` with ``>=``, ``==`` with ``!=``.
 
 The raise mutants run first.  Each mutant is written into its own copy of
 the repository, and the tier-1 suite runs there, stopping at the first
@@ -49,7 +49,7 @@ PYTEST = (
 TIMEOUT_S = 300
 WORKERS = 2
 
-FLIP_FILES = ("complexes.py", "handles.py", "moves.py")
+FLIP_FILES = ("complexes.py", "handles.py", "moves.py", "stacked.py")
 FLIPS = {
     ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
     ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),

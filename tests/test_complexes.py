@@ -74,12 +74,18 @@ _KINDS = ("tuple", "list", "generator", "frozenset")
 
 
 def _reference_complex(facets):
-    # oracle: the facet-by-facet constructor loop, canonicalising every facet
-    canon = sorted({tuple(sorted(f)) for f in facets})
-    widths = {len(f) for f in canon}
+    # oracle: the facet-by-facet constructor loop, canonicalising every facet;
+    # when labels do not compare, the loop checks the facets as given
+    facets = [tuple(f) for f in facets]
+    try:
+        canon = sorted({tuple(sorted(f)) for f in facets})
+        checked = canon
+    except TypeError:
+        checked = facets
+    widths = {len(f) for f in checked}
     if len(widths) > 1:
         raise MixedCardinality(f"facet sizes {sorted(widths)} are mixed")
-    for f in canon:
+    for f in checked:
         if len(set(f)) != len(f):
             raise ValueError(f"facet {f} repeats a vertex")
         for v in f:
@@ -150,6 +156,21 @@ def test_constructor_accepts_int_subclasses_but_not_bool():
     assert c.facets == ((1, 2, 3),) and type(c.facets[0][1]) is _Label
     with pytest.raises(NonPositiveLabel, match=r"^vertex label True is not a positive integer$"):
         sb.Complex([(2, 3, 4), (True, 2, 3)])
+
+
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (lambda: sb.from_facets([(1, "x", 3)]), "'x'"),
+        (lambda: sb.Complex([(1, None, 2)]), "None"),
+        (lambda: sb.Complex([(1, 2), ("a", "b")]), "'a'"),
+        (lambda: sb.Complex([[4, 3, 1], iter((2, "b", 1.5))]), "'b'"),
+    ],
+)
+def test_unorderable_labels_are_named(build, label):
+    # sorting a facet, or the facet list, would raise TypeError
+    with pytest.raises(NonPositiveLabel, match=rf"^vertex label {label} is not a positive integer$"):
+        build()
 
 
 # -- f-vector ------------------------------------------------------------------

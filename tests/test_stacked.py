@@ -3,6 +3,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherebundles as sb
 from spherebundles.errors import DimensionTooLow, InfeasibleVertexCount, NotAFacet, VertexInUse
@@ -151,6 +153,92 @@ def test_recognize_random_schedules():
         trace = sb.recognize_stacked(c)
         assert trace is not None
         assert trace.replay() == c
+
+
+def _searched_trace(c):
+    # oracle: a depth-first search over every vertex whose star is a cone over
+    # the boundary of a non-facet W, with backtracking and a memo of the states
+    n = c.n
+    if n < 3 or c.num_vertices < n + 1:
+        return None
+    stack, visited = [(frozenset(c.facets), ())], set()
+    while stack:
+        facets, peeled = stack.pop()
+        if facets in visited:
+            continue
+        visited.add(facets)
+        verts = sorted(set().union(*facets))
+        if len(facets) == n + 1 and facets == {tuple(v for v in verts if v != u) for u in verts}:
+            steps = tuple(SubdivisionStep(W, v) for v, W in reversed(peeled))
+            return SubdivisionTrace(sb.Complex(list(facets)), steps)
+        for v in verts:
+            star = [F for F in facets if v in F]
+            W = tuple(sorted(set().union(*star) - {v}))
+            if len(star) == n and len(W) == n and W not in facets:
+                nxt = (facets - frozenset(star)) | {W}
+                if nxt not in visited:
+                    stack.append((nxt, peeled + ((v, W),)))
+    return None
+
+
+@st.composite
+def _recognition_inputs(draw):
+    """A random stacked sphere with n = 3..7, or one of four complexes that
+    are not stacked: two stacked spheres side by side or on shared labels,
+    a stacked sphere without one facet, and a stacked sphere together with
+    the simplex boundary it was built from.  Only the last makes the test
+    that W is not a facet matter: each facet that a step subdivided is
+    present again.  The search tries every order of peeling, so the spheres
+    of the last four are kept small."""
+    n = draw(st.integers(3, 7))
+    kind = draw(st.sampled_from(("stacked", "disjoint", "shared", "holed", "simplex")))
+
+    def sphere(most):
+        return sb.random_stacked_sphere(n, draw(st.integers(0, most)), draw(st.integers(0, 10**6)))[0]
+
+    if kind == "stacked":
+        return sphere(16)
+    c = sphere(6)
+    if kind == "holed":
+        return sb.Complex(c.facets[1:])
+    other = sb.boundary_of_simplex(n) if kind == "simplex" else sphere(4)
+    if kind == "disjoint":
+        other = other.relabeled({v: v + 1000 for v in other.vertices})
+    return sb.Complex(c.facets + other.facets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_recognition_inputs())
+def test_recognition_equals_the_search(c):
+    found = sb.recognize_stacked(c)
+    expected = _searched_trace(c)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert (found.base, found.steps) == (expected.base, expected.steps)
+        assert found.replay() == c
+
+
+def _bundles():
+    for n in range(3, 8):
+        yield sb.build_miss(n)
+        yield sb.kuhnel_complex(n)
+        for f0 in range(2 * n + 1, 2 * n + 5):
+            for variant in ("standard", "swapped")[: 1 if f0 == 2 * n + 1 else 2]:
+                yield sb.build_iss_variant(n, f0, variant)
+
+
+def test_recognition_refuses_bundles_as_the_search_does():
+    for c in _bundles():
+        assert _searched_trace(c) is None
+        assert sb.recognize_stacked(c) is None
+
+
+def test_recognition_of_scheduled_spheres_equals_the_search():
+    for n in range(3, 8):
+        for i in range(1, 12):
+            c, _ = sb.build_delta(n, i)
+            found, expected = sb.recognize_stacked(c), _searched_trace(c)
+            assert (found.base, found.steps) == (expected.base, expected.steps)
 
 
 # -- stacks ------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import networkx as nx
@@ -698,3 +699,38 @@ def test_isomorphism_of_empty_complexes():
     empty = sb.Complex([])
     assert sb.are_isomorphic(empty, empty) == verify.IsoWitness({})
     assert sb.are_isomorphic(empty, sb.boundary_of_simplex(3)) is None
+
+
+def _star_face_counts(c):
+    # oracle: the k-faces through v counted on v's star, as v joined to the
+    # k-subsets of each star facet without v
+    counts = {}
+    for v, star in c.stars().items():
+        rest = [tuple(u for u in c.facets[i] if u != v) for i in star]
+        counts[v] = tuple(
+            len({S for R in rest for S in combinations(R, k)}) for k in range(1, c.n)
+        )
+    return counts
+
+
+@st.composite
+def _counted_complexes(draw):
+    """A random stacked sphere, MISS, an ISS of either variant, or the
+    orientation double cover of a nonorientable ISS."""
+    n = draw(st.integers(3, 6))
+    kind = draw(st.sampled_from(("stacked", "miss", "iss", "cover")))
+    if kind == "stacked":
+        return sb.random_stacked_sphere(n, draw(st.integers(0, 12)), draw(st.integers(0, 10**6)))[0]
+    if kind == "miss":
+        return sb.build_miss(n)
+    f0 = draw(st.integers(2 * n + 2, 2 * n + 6))
+    if kind == "iss":
+        return sb.build_iss_variant(n, f0, draw(st.sampled_from(("standard", "swapped"))))
+    return sb.orientation_double_cover(sb.build_iss(n, f0, BundleType.NONORIENTABLE))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_counted_complexes())
+def test_face_counts_equal_the_star_count(c):
+    counts = verify._face_counts(c, verify._faces(c))
+    assert list(counts.items()) == list(_star_face_counts(c).items())
