@@ -29,10 +29,15 @@ the complex:
   order, which indexes the boundary matrices and from which
   ``vertex_links`` reads every vertex link without enumerating or sorting
   the link's own faces;
-- ridges: each ridge to the facets that contain it, which serves the one
-  facet-graph walk that decides both pseudomanifoldness and orientability;
+- ridges: each ridge to the facets that contain it.  The facet graph
+  (``_across``) is built from it once and cached, and one walk of that
+  graph (``_component``) answers three questions: whether the complex is a
+  pseudomanifold and orientable; the same for each vertex link, by the walk
+  kept to the vertex's star (``_walk_facet_graph(c, v)``), so no link builds
+  a ridge index of its own; and the copies of each vertex in the
+  orientation double cover;
 - stars: each vertex to the facets that contain it, which serves links, the
-  orientation double cover and the isomorphism search.
+  link checks, the orientation double cover and the isomorphism search.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ class Complex:
 
     __slots__ = (
         "_facets", "_n", "_vertices", "_faces", "_sorted", "_ridges", "_stars", "_adjacency", "_pm",
+        "_across",
     )
 
     def __init__(self, facets):
@@ -102,11 +108,7 @@ class Complex:
         self._n = n
         self._vertices = vertices
         self._faces = [None] * self._n  # one face index per dimension
-        self._sorted = None
-        self._ridges = None
-        self._stars = None
-        self._adjacency = None
-        self._pm = None
+        self._sorted = self._ridges = self._stars = self._adjacency = self._pm = self._across = None
 
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
@@ -173,7 +175,7 @@ class Complex:
         c._vertices = frozenset(v for (v,) in lists[0])
         c._faces = [None] * c._n
         c._sorted = lists
-        c._ridges = c._stars = c._adjacency = c._pm = None
+        c._ridges = c._stars = c._adjacency = c._pm = c._across = None
         return c
 
     def ridges(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
@@ -473,11 +475,9 @@ def is_pseudomanifold(c: Complex) -> PseudomanifoldReport:
     """Check ridge valence two and facet-adjacency connectivity.
 
     Ridges are checked in ``c.ridges()`` order, so the first bad ridge is the
-    same for every caller.  One walk of the facet graph then checks
-    connectivity and signs the facets by the ridge signs of ``_across``; the
-    complex is orientable when no ridge sees a conflict.  The walk never
-    stops at a conflict, so a disconnected complex is always reported as
-    disconnected.
+    same for every caller.  One walk of the facet graph (``_walk_facet_graph``)
+    then checks connectivity and orientability; it never stops at a sign
+    conflict, so a disconnected complex is always reported as disconnected.
 
     The report is cached on the complex, so a complex is walked once however
     many callers ask.
@@ -487,43 +487,82 @@ def is_pseudomanifold(c: Complex) -> PseudomanifoldReport:
     return c._pm
 
 
-def _across(c: Complex) -> list[list[tuple[int, int]]]:
-    """``[i][p]`` is (j, flip): facet j lies across the ridge of facet i
+def _across(c: Complex) -> tuple[list[list[int]], list[tuple[tuple[int, ...], int]]]:
+    """The facet graph of ``c``, built from ``c.ridges()`` on first use and
+    cached: (across, bad).
+
+    ``across[i][p]`` is 2 j + flip: facet j lies across the ridge of facet i
     without its vertex at position p, and flip is 0 (same sign) when the
-    dropped positions differ in parity, else 1.  Every ridge must lie in
-    exactly two facets."""
-    across = [[(0, 0)] * c.n for _ in c.facets]
-    for (i, pi), (j, pj) in c.ridges().values():
-        flip = (pi + pj + 1) & 1
-        across[i][pi] = (j, flip)
-        across[j][pj] = (i, flip)
-    return across
+    dropped positions differ in parity, else 1.  A ridge that does not lie
+    in exactly two facets is left out: its entries stay 2 i, which lead back
+    to where they start.  ``bad`` lists those ridges with their valences, in
+    ``c.ridges()`` order.
+    """
+    if c._across is None:
+        across = [[2 * i] * c.n for i in range(len(c.facets))]
+        bad = []
+        for ridge, incident in c.ridges().items():
+            if len(incident) != 2:
+                bad.append((ridge, len(incident)))
+                continue
+            (i, pi), (j, pj) = incident
+            flip = (pi + pj + 1) & 1
+            across[i][pi] = 2 * j + flip
+            across[j][pj] = 2 * i + flip
+        c._across = across, bad
+    return c._across
 
 
-def _walk_facet_graph(c: Complex) -> PseudomanifoldReport:
+def _component(across: list[list[int]], start: int, left: set[int]) -> list[int]:
+    """The nodes 2 i + sheet reached from ``start`` across the ridges of
+    ``across``, through nodes of ``left`` only; each is removed from ``left``.
+
+    This is the one walk of the facet graph.  Crossing a ridge keeps the
+    sheet where the signs agree and swaps it where they are opposite.  A
+    component holds both sheets of one of its facets exactly when its
+    facets cannot be signed consistently, and then, since swapping every
+    sheet maps it onto itself, both sheets of each of its facets.
+    """
+    left.discard(start)
+    found = [start]
+    for k in found:
+        s = k & 1
+        for t in across[k >> 1]:
+            t ^= s
+            if t in left:
+                left.remove(t)
+                found.append(t)
+    return found
+
+
+def _walk_facet_graph(c: Complex, v: int | None = None) -> PseudomanifoldReport:
+    """The pseudomanifold report of ``c``, or with ``v`` that of lk(v),
+    read off the facet graph of ``c`` alone.
+
+    The facets of lk(v) are F - v for F in v's star, in the same order, and
+    its ridges are the ridges of ``c`` through v, without v.  So its first
+    bad ridge is the first of ``c.ridges()`` through v, and its facet graph
+    is that of ``c`` restricted to v's star: the ridge opposite v leads out
+    of the star.  Dropping v from facet F re-signs F - v by the parity of
+    v's position in F, which changes no cycle's sign, so the walk decides
+    the link's orientability by the signs of ``c``.
+    """
     if c.is_empty:
         return PseudomanifoldReport(False, False, "empty complex")
-    for ridge, incident in c.ridges().items():
-        if len(incident) != 2:
-            return PseudomanifoldReport(
-                False, False, f"ridge {ridge} lies in {len(incident)} facets"
-            )
-    across = _across(c)
-    sign = {0: 0}
-    stack = [0]
-    orientable = True
-    while stack:
-        i = stack.pop()
-        for j, flip in across[i]:
-            want = sign[i] ^ flip
-            if j not in sign:
-                sign[j] = want
-                stack.append(j)
-            elif sign[j] != want:
-                orientable = False
-    if len(sign) != len(c.facets):
+    across, bad = _across(c)
+    for ridge, valence in bad:
+        if v is None or v in ridge:
+            ridge = tuple(u for u in ridge if u != v)
+            return PseudomanifoldReport(False, False, f"ridge {ridge} lies in {valence} facets")
+    facets = range(len(c.facets)) if v is None else c.stars()[v]
+    left = {2 * i + s for i in facets for s in (0, 1)}
+    start = 2 * facets[0]
+    found = _component(across, start, left)
+    orientable = start + 1 in left  # the first facet's other sheet was not reached
+    reached = len(found) if orientable else len(found) // 2
+    if reached != len(facets):
         return PseudomanifoldReport(
             True, False,
-            f"facet-adjacency graph has >= 2 components ({len(sign)} of {len(c.facets)} reachable)",
+            f"facet-adjacency graph has >= 2 components ({reached} of {len(facets)} reachable)",
         )
     return PseudomanifoldReport(True, True, orientable=orientable)

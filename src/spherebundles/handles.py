@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .complexes import Complex, _across, distances_from, graph_distance, is_pseudomanifold
+from .complexes import Complex, _across, _component, distances_from, graph_distance, is_pseudomanifold
 from .errors import (
     AlreadyOrientable,
     DimensionTooLow,
@@ -342,43 +342,30 @@ def orientation_double_cover(c: Complex) -> Complex:
     sheets otherwise.  Face counts double and the cover is orientable.
     Copies of vertex v are labelled v, v + max_label, v + 2 max_label, ...
 
-    Each facet keeps, by the position of the dropped vertex, the facet
-    across that ridge and whether crossing it swaps sheets (``_across``:
-    the sheet swaps where the signs are opposite).  The copies of
-    v are the classes of (facet, sheet) pairs of v's star joined across the
-    ridges that contain v; a walk from each pair not yet reached, taken in
-    (facet, sheet) order, finds them, so copies are numbered in the order
-    of their least pair.
+    The copies of v are the components of the (facet, sheet) pairs of v's
+    star under the one facet-graph walk (``_component``), kept to that star
+    so that it crosses exactly the ridges through v: the walk that checks
+    lk(v) for ``manifold_evidence``, on both sheets.  Crossing a ridge swaps
+    sheets where the signs of ``_across`` are opposite.  A walk starts from
+    each pair not yet reached, in (facet, sheet) order, so copies are
+    numbered in the order of their least pair.
     """
     if verify.orientability(c):
         raise AlreadyOrientable("complex is already orientable")
 
     n, facets = c.n, c.facets
-    across = _across(c)
-
+    across, _ = _across(c)
     shift = max(c.vertices)
     # label[(2 i + s) n + q]: the copy of facets[i][q] on sheet s
     label = [0] * (2 * n * len(facets))
     for v, star in c.stars().items():
+        nodes = [2 * i + s for i in star for s in (0, 1)]
+        left = set(nodes)
         copies = 0
-        for start in star:
-            for sheet in (0, 1):
-                slot = (2 * start + sheet) * n + facets[start].index(v)
-                if label[slot]:
-                    continue
-                mine = label[slot] = v + copies * shift
+        for start in nodes:
+            if start in left:
+                for k in _component(across, start, left):
+                    label[k * n + facets[k >> 1].index(v)] = v + copies * shift
                 copies += 1
-                todo = [(start, sheet)]
-                while todo:
-                    i, s = todo.pop()
-                    q = facets[i].index(v)
-                    for p, (j, flip) in enumerate(across[i]):
-                        if p == q:
-                            continue  # the ridge opposite v does not contain it
-                        t = s ^ flip
-                        slot = (2 * j + t) * n + facets[j].index(v)
-                        if not label[slot]:
-                            label[slot] = mine
-                            todo.append((j, t))
 
     return Complex(label[k : k + n] for k in range(0, len(label), n))

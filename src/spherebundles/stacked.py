@@ -30,19 +30,36 @@ class SubdivisionStep:
 class SubdivisionTrace:
     """Witness of a stacked-sphere construction: base sphere plus ordered steps.
 
-    Replaying the steps from the base reproduces the complex exactly; the
-    base is always the boundary of a simplex (not necessarily on labels
-    1..n+1 when the trace comes from recognition).
+    Replaying the steps from the base reproduces the complex exactly; in
+    every trace this package returns the base is the boundary of a simplex
+    (not necessarily on labels 1..n+1 when the trace comes from
+    recognition).
     """
 
     base: Complex
     steps: tuple[SubdivisionStep, ...]
 
     def replay(self) -> Complex:
-        c = self.base
+        """The complex the steps build from the base.
+
+        The steps edit one facet set and one vertex set.  Each step refuses,
+        in turn, a facet that is not present (NotAFacet) and a new vertex
+        already in use (VertexInUse), and only the finished complex is built,
+        and so validated, as a ``Complex``; a new vertex that is not a
+        positive integer is refused there.
+        """
+        facets = set(self.base.facets)
+        vertices = set(self.base.vertices)
         for s in self.steps:
-            c = subdivide_facet(c, s.facet, s.new_vertex)
-        return c
+            F = tuple(sorted(s.facet))
+            if F not in facets:
+                raise NotAFacet(f"{F} is not a facet")
+            if s.new_vertex in vertices:
+                raise VertexInUse(f"vertex {s.new_vertex} already in use")
+            facets.remove(F)
+            facets.update(_cone(F, s.new_vertex))
+            vertices.add(s.new_vertex)
+        return Complex(facets)
 
     def to_text(self) -> str:
         """Line-oriented serialisation: one ``facet -> new vertex`` per step."""
@@ -69,13 +86,11 @@ def _cone(F: tuple[int, ...], v: int) -> tuple[tuple[int, ...], ...]:
 
 
 def subdivide_facet(c: Complex, facet, new_vertex: int) -> Complex:
-    """Replace ``facet`` by the n facets coning ``new_vertex`` over its boundary."""
-    F = tuple(sorted(facet))
-    if F not in c.facets:
-        raise NotAFacet(f"{F} is not a facet")
-    if new_vertex in c.vertices:
-        raise VertexInUse(f"vertex {new_vertex} already in use")
-    return Complex([G for G in c.facets if G != F] + list(_cone(F, new_vertex)))
+    """Replace ``facet`` by the n facets coning ``new_vertex`` over its boundary.
+
+    The one-step replay from ``c``, with its checks and messages.
+    """
+    return SubdivisionTrace(c, (SubdivisionStep(tuple(facet), new_vertex),)).replay()
 
 
 def build_delta(n: int, i: int) -> tuple[Complex, SubdivisionTrace]:
@@ -84,14 +99,8 @@ def build_delta(n: int, i: int) -> tuple[Complex, SubdivisionTrace]:
     Step j subdivides the facet {j+1, ..., n+j} with new vertex n+j+1; the
     result has n+i vertices and (n+1) + (i-1)(n-1) facets.  The schedule is
     followed literally so that distance tables and downstream facet
-    identifications can refer to labels directly.
-
-    The steps edit one facet set; only the finished sphere is built, and so
-    validated, as a ``Complex``.  No step checks that its facet is present:
-    {2, ..., n+1} is a facet of the simplex boundary, and for j >= 2 step
-    j-1 creates {j+1, ..., n+j} as the cone facet that drops j, which only
-    step j removes.  ``trace.replay()`` rebuilds the same sphere through
-    ``subdivide_facet``, which does check.
+    identifications can refer to labels directly.  The sphere is
+    ``trace.replay()``.
     """
     if n < 3:
         raise DimensionTooLow("n must be at least 3")
@@ -99,16 +108,9 @@ def build_delta(n: int, i: int) -> tuple[Complex, SubdivisionTrace]:
         raise InfeasibleVertexCount(
             f"i must be at least 1 (stacked sphere number i has n + i vertices), got {i}"
         )
-    base = boundary_of_simplex(n)
-    facets = set(base.facets)
-    steps = []
-    for j in range(1, i):
-        F = tuple(range(j + 1, n + j + 1))
-        v = n + j + 1
-        facets.remove(F)
-        facets.update(_cone(F, v))
-        steps.append(SubdivisionStep(F, v))
-    return Complex(facets), SubdivisionTrace(base, tuple(steps))
+    steps = (SubdivisionStep(tuple(range(j + 1, n + j + 1)), n + j + 1) for j in range(1, i))
+    trace = SubdivisionTrace(boundary_of_simplex(n), tuple(steps))
+    return trace.replay(), trace
 
 
 @dataclass(frozen=True)
@@ -175,23 +177,24 @@ def recognize_stacked(c: Complex):
     if n < 3 or c.num_vertices < n + 1:
         return None
     facets = set(c.facets)
+    stars = {v: {c.facets[i] for i in star} for v, star in c.stars().items()}  # kept up to date
+    small = {v for v, star in stars.items() if len(star) == n}  # every v with n facets
     peeled = []
-    while True:
-        stars: dict[int, list[tuple[int, ...]]] = {}
-        for F in facets:
-            for v in F:
-                stars.setdefault(v, []).append(F)
-        if len(facets) == n + 1 and len(stars) == n + 1:
-            break
-        for v in sorted(stars, reverse=True):
-            if len(stars[v]) == n:
-                W = tuple(sorted(set(chain.from_iterable(stars[v])) - {v}))
-                if len(W) == n and W not in facets:
-                    break
+    while not (len(facets) == n + 1 and len(stars) == n + 1):
+        for v in sorted(small, reverse=True):
+            W = tuple(sorted(set(chain.from_iterable(stars[v])) - {v}))
+            if len(W) == n and W not in facets:
+                break
         else:
             return None
-        facets.difference_update(stars[v])
+        gone = stars.pop(v)
+        facets -= gone
         facets.add(W)
+        small.difference_update(W + (v,))
+        for u in W:  # the other vertices of v's star
+            stars[u] -= gone
+            stars[u].add(W)
+        small.update(u for u in W if len(stars[u]) == n)
         peeled.append(SubdivisionStep(W, v))
     return SubdivisionTrace(Complex(facets), tuple(reversed(peeled)))
 
@@ -253,11 +256,12 @@ def stack_decomposition(trace: SubdivisionTrace) -> StackDecomposition:
 def random_stacked_sphere(n: int, num_subdivisions: int, seed: int) -> tuple[Complex, SubdivisionTrace]:
     """Seeded random-schedule stacked sphere, for property tests."""
     rng = random.Random(seed)
-    c = boundary_of_simplex(n)
+    base = boundary_of_simplex(n)
+    facets = list(base.facets)  # sorted, as each step's complex lists its facets
     steps = []
     for k in range(num_subdivisions):
-        F = rng.choice(c.facets)
+        F = rng.choice(facets)
         v = n + 2 + k
-        c = subdivide_facet(c, F, v)
+        facets = sorted([G for G in facets if G != F] + list(_cone(F, v)))
         steps.append(SubdivisionStep(F, v))
-    return c, SubdivisionTrace(boundary_of_simplex(n), tuple(steps))
+    return Complex(facets), SubdivisionTrace(base, tuple(steps))

@@ -36,7 +36,7 @@ from itertools import chain, combinations
 from math import gcd
 from typing import TypeVar
 
-from .complexes import Complex, PseudomanifoldReport, is_pseudomanifold, vertex_links
+from .complexes import Complex, PseudomanifoldReport, _walk_facet_graph, is_pseudomanifold, vertex_links
 from .errors import InvalidWitness, NotPseudomanifold
 
 K = TypeVar("K")
@@ -232,10 +232,12 @@ def manifold_evidence(c: Complex) -> ManifoldEvidence:
     The vertex links come from one pass over the sorted faces of ``c``
     (``vertex_links``), one link at a time, so no link enumerates or sorts
     its own faces.  Each link gets its Betti vector compared against the
-    sphere of dimension n-2 and an orientability check; its orientability
-    and failure detail are read from its one ``is_pseudomanifold`` walk.
-    Passing is evidence of manifoldness only; full sphere recognition is out
-    of reach.
+    sphere of dimension n-2 and an orientability check.  Its orientability
+    and failure detail, the report ``is_pseudomanifold`` would give the
+    link, are read off the facet graph of ``c`` restricted to v's star
+    (``_walk_facet_graph(c, v)``), so ``c`` builds the one ridge index and
+    no link builds its own.  Passing is evidence of manifoldness only; full
+    sphere recognition is out of reach.
     """
     links = vertex_links(c)  # raises DimensionTooLow for n < 2
     pm = is_pseudomanifold(c)
@@ -243,7 +245,7 @@ def manifold_evidence(c: Complex) -> ManifoldEvidence:
     checks = []
     for v, lk in links:
         betti = betti_numbers(lk)
-        lk_pm = is_pseudomanifold(lk)
+        lk_pm = _walk_facet_graph(c, v)
         ori = bool(lk_pm.orientable)
         detail = lk_pm.detail
         ok = betti == expected and ori

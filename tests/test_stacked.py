@@ -1,5 +1,6 @@
 """Scheduled subdivision, distance tables, recognition, stack decomposition."""
 
+import random
 from math import comb
 
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spherebundles as sb
-from spherebundles.errors import DimensionTooLow, InfeasibleVertexCount, NotAFacet, VertexInUse
+from spherebundles.errors import (
+    DimensionTooLow,
+    InfeasibleVertexCount,
+    NonPositiveLabel,
+    NotAFacet,
+    VertexInUse,
+)
 from spherebundles.stacked import SubdivisionStep, SubdivisionTrace
 
 
@@ -32,6 +39,88 @@ def test_subdivide_facet_errors():
         sb.subdivide_facet(c, (1, 2, 3, 6), 7)
     with pytest.raises(VertexInUse):
         sb.subdivide_facet(c, (2, 3, 4, 5), 5)
+
+
+def _subdivide_by_complex(c, facet, new_vertex):
+    """The reference subdivision: one validated Complex per step."""
+    F = tuple(sorted(facet))
+    if F not in c.facets:
+        raise NotAFacet(f"{F} is not a facet")
+    if new_vertex in c.vertices:
+        raise VertexInUse(f"vertex {new_vertex} already in use")
+    cone = [tuple(sorted(F[:k] + F[k + 1 :] + (new_vertex,))) for k in range(len(F))]
+    return sb.Complex([G for G in c.facets if G != F] + cone)
+
+
+def _replay_by_complex(trace):
+    c = trace.base
+    for s in trace.steps:
+        c = _subdivide_by_complex(c, s.facet, s.new_vertex)
+    return c
+
+
+def _random_stacked_by_complex(n, num_subdivisions, seed):
+    rng = random.Random(seed)
+    c = sb.boundary_of_simplex(n)
+    steps = []
+    for k in range(num_subdivisions):
+        F = rng.choice(c.facets)
+        v = n + 2 + k
+        c = _subdivide_by_complex(c, F, v)
+        steps.append(SubdivisionStep(F, v))
+    return c, SubdivisionTrace(sb.boundary_of_simplex(n), tuple(steps))
+
+
+def test_random_stacked_sphere_equals_the_complex_chain():
+    for seed in range(21):
+        for n in (3, 4, 6):
+            c, trace = sb.random_stacked_sphere(n, 12, seed)
+            want, want_trace = _random_stacked_by_complex(n, 12, seed)
+            assert c == want
+            assert (trace.base, trace.steps) == (want_trace.base, want_trace.steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 25), st.integers(0, 10**6), st.randoms())
+def test_replay_equals_the_complex_chain(n, num_subdivisions, seed, rng):
+    _, trace = sb.random_stacked_sphere(n, num_subdivisions, seed)
+    # a step may name its facet in any order
+    steps = tuple(SubdivisionStep(tuple(rng.sample(s.facet, n)), s.new_vertex) for s in trace.steps)
+    trace = SubdivisionTrace(trace.base, steps)
+    assert trace.replay() == _replay_by_complex(trace)
+
+
+def _fault(build):
+    try:
+        build()
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 6), st.integers(1, 25), st.integers(0, 10**6), st.data())
+def test_corrupted_replay_names_the_same_fault(n, num_subdivisions, seed, data):
+    _, trace = sb.random_stacked_sphere(n, num_subdivisions, seed)
+    steps = list(trace.steps)
+    t = data.draw(st.integers(0, len(steps) - 1))
+    used = sorted(trace.base.vertices | {s.new_vertex for s in steps[:t]})
+    # facets subdivided before step t, and one on a label no step adds
+    absent = [s.facet for s in steps[:t]] + [tuple(range(1, n)) + (n + 2 + len(steps),)]
+    corrupt = data.draw(st.sampled_from(("facet", "vertex", "label")))
+    if corrupt == "facet":
+        steps[t] = SubdivisionStep(data.draw(st.sampled_from(absent)), steps[t].new_vertex)
+    elif corrupt == "vertex":
+        steps[t] = SubdivisionStep(steps[t].facet, data.draw(st.sampled_from(used)))
+    else:
+        # a label that is not a positive int is named by the one build at the
+        # end, so only the last step carries one here
+        t = len(steps) - 1
+        steps[t] = SubdivisionStep(steps[t].facet, data.draw(st.sampled_from((0, -3, True, 2.5))))
+    broken = SubdivisionTrace(trace.base, tuple(steps))
+    expected = _fault(lambda: _replay_by_complex(broken))
+    assert expected is not None
+    assert _fault(broken.replay) == expected
 
 
 @pytest.mark.parametrize(

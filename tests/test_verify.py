@@ -540,6 +540,15 @@ def test_link_pass_keeps_the_failure_details():
     a = sb.boundary_of_simplex(3)
     pinched = sb.Complex(a.facets + a.relabeled({2: 12, 3: 13, 4: 14}).facets)
     valence3 = sb.Complex(a.facets + ((1, 2, 5), (1, 3, 5), (2, 3, 5)))
+    # parents that fail ridge valence away from a vertex whose link fails:
+    # the pinched vertex 1 beside a ridge (2, 3) of valence three, and the
+    # cone from 7 over RP^2, whose ridges through 7 all have valence two
+    pinched_and_valence3 = sb.Complex(pinched.facets + ((2, 3, 5),))
+    rp2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+           (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+    cone = sb.Complex([F + (7,) for F in rp2])
+    # n = 2: a theta graph, whose vertices 1 and 2 have degree three
+    theta = sb.Complex([(1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5)])
     cases = {
         pinched: {1: ((2, 2), "facet-adjacency graph has >= 2 components (3 of 6 reachable)")},
         valence3: {
@@ -547,12 +556,52 @@ def test_link_pass_keeps_the_failure_details():
             2: ((1, 2), "ridge (1,) lies in 3 facets"),
             3: ((1, 2), "ridge (1,) lies in 3 facets"),
         },
+        pinched_and_valence3: {
+            1: ((2, 2), "facet-adjacency graph has >= 2 components (3 of 6 reachable)"),
+            2: ((1, 1), "ridge (3,) lies in 3 facets"),
+            3: ((1, 1), "ridge (2,) lies in 3 facets"),
+            5: ((1, 0), "ridge (2,) lies in 1 facets"),
+        },
+        cone: {
+            1: ((1, 0, 0), "ridge (2, 3) lies in 1 facets"),
+            2: ((1, 0, 0), "ridge (1, 3) lies in 1 facets"),
+            3: ((1, 0, 0), "ridge (1, 2) lies in 1 facets"),
+            4: ((1, 0, 0), "ridge (1, 3) lies in 1 facets"),
+            5: ((1, 0, 0), "ridge (1, 4) lies in 1 facets"),
+            6: ((1, 0, 0), "ridge (1, 2) lies in 1 facets"),
+            7: ((1, 0, 0), "link Betti (1, 0, 0) vs sphere (1, 0, 1)"),
+        },
+        theta: {1: ((3,), "ridge () lies in 3 facets"), 2: ((3,), "ridge () lies in 3 facets")},
     }
+    assert not any(sb.is_pseudomanifold(c).ridges_ok for c in (pinched_and_valence3, cone, theta))
+    assert sb.manifold_evidence(cone).link_checks[-1] == verify.LinkCheck(
+        7, (1, 0, 0), False, False, "link Betti (1, 0, 0) vs sphere (1, 0, 1)"
+    )
     for c, bad in cases.items():
         ev = sb.manifold_evidence(c)
         assert ev == _evidence_by_link_loop(c)
         assert {lc.vertex: (lc.betti, lc.detail) for lc in ev.link_checks if not lc.ok} == bad
         assert all(lc.detail == "" for lc in ev.link_checks if lc.ok)
+
+
+def test_manifold_evidence_builds_one_ridge_index(monkeypatch):
+    # the links and the double cover read the facet graph of c; no link
+    # builds a ridge index of its own
+    built = []
+    ridges = sb.Complex.ridges
+
+    def counting(self):
+        built.append(self)
+        return ridges(self)
+
+    made = (sb.build_iss(5, 12, BundleType.NONORIENTABLE), sb.build_miss(5))
+    monkeypatch.setattr(sb.Complex, "ridges", counting)
+    for fresh in (sb.Complex(c.facets) for c in made):
+        built.clear()
+        assert sb.manifold_evidence(fresh).ok
+        if not sb.orientability(fresh):
+            sb.orientation_double_cover(fresh)
+        assert built and all(x is fresh for x in built)
 
 
 def test_link_pass_needs_edges():
