@@ -33,13 +33,7 @@ from .errors import (
     NotTwoStacks,
     PairingNotOnTops,
 )
-from .stacked import (
-    SubdivisionStep,
-    SubdivisionTrace,
-    build_delta,
-    stack_decomposition,
-    subdivide_facet,
-)
+from .stacked import SubdivisionStep, SubdivisionTrace, build_delta, stack_decomposition
 from . import verify
 
 
@@ -71,9 +65,6 @@ class Pairing:
     @property
     def target_facet(self) -> tuple[int, ...]:
         return tuple(sorted(w for _, w in self.pairs))
-
-    def substituted(self, old_pair, new_pair) -> "Pairing":
-        return Pairing(tuple(new_pair if p == old_pair else p for p in self.pairs))
 
 
 @dataclass(frozen=True)
@@ -276,56 +267,40 @@ def build_miss(n: int) -> Complex:
 
 
 def two_stack_reduction(
-    sphere: Complex, trace: SubdivisionTrace, pairing: Pairing
+    trace: SubdivisionTrace, pairing: Pairing
 ) -> tuple[Complex, SubdivisionTrace, Pairing]:
     """Trade a two-stack construction for a one-stack one with the same quotient.
 
-    Undoes the last subdivision of the stack holding the pairing's source
-    facet, then re-subdivides the partner facet, reusing the removed top
-    vertex's label so the pairing update is a pure substitution.  The
-    quotients before and after are combinatorially isomorphic and all
-    matched distances stay >= 3.
+    Trace surgery: drop the leaf step of the stack whose top holds the
+    pairing's source facet F1, and append the subdivision of the target
+    facet F2 with that step's vertex, so the new vertex takes over the freed
+    label.  The sphere is the new trace's replay.  In the pairing, the
+    dropped vertex's pair becomes (u*, dropped vertex), where u* is the
+    vertex of the restored facet outside F1.  The quotients before and
+    after are combinatorially isomorphic, and all matched distances stay
+    >= 3, which is checked on the result.
     """
-    decomp = stack_decomposition(trace)
-    if len(decomp) != 2:
-        raise NotTwoStacks(f"trace has {len(decomp)} stacks, need exactly 2")
+    stacks = stack_decomposition(trace)
+    if len(stacks) != 2:
+        raise NotTwoStacks(f"trace has {len(stacks)} stacks, need exactly 2")
     F1, F2 = pairing.source_facet, pairing.target_facet
-
-    def owner(facet):
-        for idx, st in enumerate(decomp.stacks):
-            if facet in st.top_facets:
-                return idx
-        return None
-
-    own1, own2 = owner(F1), owner(F2)
+    own1, own2 = (
+        next((k for k, st in enumerate(stacks) if F in st.top_facets), None) for F in (F1, F2)
+    )
     if own1 is None or own2 is None or own1 == own2:
         raise PairingNotOnTops(
             "pairing must identify one facet from the top of each stack"
         )
 
-    # undo the leaf subdivision of the stack holding the source facet
-    undo_stack = decomp.stacks[own1]
-    leaf_index = undo_stack.step_indices[-1]
-    leaf = trace.steps[leaf_index]
-    top_vertex = leaf.new_vertex
-    restored = leaf.facet
+    leaf = stacks[own1].step_indices[-1]
+    restored, top_vertex = trace.steps[leaf].facet, trace.steps[leaf].new_vertex
     u_star = next(v for v in restored if v not in F1)
-
-    reduced_facets = set(sphere.facets) - set(undo_stack.top_facets)
-    reduced_facets.add(restored)
-    reduced = Complex(reduced_facets)
-    # re-subdivide the partner facet, reusing the freed label
-    new_sphere = subdivide_facet(reduced, F2, top_vertex)
-
-    new_steps = tuple(
-        s for t, s in enumerate(trace.steps) if t != leaf_index
-    ) + (SubdivisionStep(F2, top_vertex),)
-    new_trace = SubdivisionTrace(trace.base, new_steps)
-
-    # the undone top vertex sits on the source side of its pair; its partner
-    # slot is taken over by the re-subdivision vertex (same label)
-    old_pair = next(p for p in pairing.pairs if p[0] == top_vertex)
-    new_pairing = pairing.substituted(old_pair, (u_star, top_vertex))
+    steps = trace.steps[:leaf] + trace.steps[leaf + 1 :] + (SubdivisionStep(F2, top_vertex),)
+    new_trace = SubdivisionTrace(trace.base, steps)
+    new_sphere = new_trace.replay()
+    new_pairing = Pairing(
+        tuple((u_star, top_vertex) if u == top_vertex else (u, w) for u, w in pairing.pairs)
+    )
 
     for u, w in new_pairing.pairs:
         d = graph_distance(new_sphere, u, w)

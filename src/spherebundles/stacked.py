@@ -8,6 +8,12 @@ after i-1 steps has vertices 1..n+i and distances to the first n vertices
 obey a min-recursion that can be tabulated without touching the complex
 itself.  Recognition undoes subdivisions greedily, which is proved enough
 in ``recognize_stacked``; no search is needed.
+
+A ``SubdivisionTrace`` is the one record of a stacked sphere: a base
+sphere and steps, each storing its facet sorted.  ``SubdivisionTrace.replay``
+is the one place where steps are checked and applied: ``subdivide_facet``
+and ``build_delta`` replay a trace, and so does the two-stack reduction of
+``handles``, which edits a trace and replays the result.
 """
 
 from __future__ import annotations
@@ -16,14 +22,19 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 
-from .complexes import Complex
+from .complexes import Complex, _scan
 from .errors import DimensionTooLow, InfeasibleVertexCount, NotAFacet, VertexInUse
 
 
 @dataclass(frozen=True)
 class SubdivisionStep:
+    """Subdivide ``facet`` with ``new_vertex``; the facet is stored sorted."""
+
     facet: tuple[int, ...]
     new_vertex: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "facet", tuple(sorted(self.facet)))
 
 
 @dataclass(frozen=True)
@@ -42,22 +53,23 @@ class SubdivisionTrace:
     def replay(self) -> Complex:
         """The complex the steps build from the base.
 
-        The steps edit one facet set and one vertex set.  Each step refuses,
-        in turn, a facet that is not present (NotAFacet) and a new vertex
-        already in use (VertexInUse), and only the finished complex is built,
-        and so validated, as a ``Complex``; a new vertex that is not a
-        positive integer is refused there.
+        The one place where subdivision steps are checked and applied.  The
+        steps edit one facet set and one vertex set, and each step refuses,
+        in turn and at that step, a facet that is not present (NotAFacet), a
+        new vertex already in use (VertexInUse) and a new vertex that is not
+        a positive integer (NonPositiveLabel, by the constructor's own label
+        rule).  Only the finished complex is built as a ``Complex``.
         """
         facets = set(self.base.facets)
         vertices = set(self.base.vertices)
         for s in self.steps:
-            F = tuple(sorted(s.facet))
-            if F not in facets:
-                raise NotAFacet(f"{F} is not a facet")
+            if s.facet not in facets:
+                raise NotAFacet(f"{s.facet} is not a facet")
             if s.new_vertex in vertices:
                 raise VertexInUse(f"vertex {s.new_vertex} already in use")
-            facets.remove(F)
-            facets.update(_cone(F, s.new_vertex))
+            _scan([(s.new_vertex,)])
+            facets.remove(s.facet)
+            facets.update(_cone(s.facet, s.new_vertex))
             vertices.add(s.new_vertex)
         return Complex(facets)
 
@@ -90,7 +102,7 @@ def subdivide_facet(c: Complex, facet, new_vertex: int) -> Complex:
 
     The one-step replay from ``c``, with its checks and messages.
     """
-    return SubdivisionTrace(c, (SubdivisionStep(tuple(facet), new_vertex),)).replay()
+    return SubdivisionTrace(c, (SubdivisionStep(facet, new_vertex),)).replay()
 
 
 def build_delta(n: int, i: int) -> tuple[Complex, SubdivisionTrace]:
@@ -208,49 +220,30 @@ class Stack:
     top_vertex: int
 
 
-@dataclass(frozen=True)
-class StackDecomposition:
-    stacks: tuple[Stack, ...]
+def stack_decomposition(trace: SubdivisionTrace) -> tuple[Stack, ...]:
+    """Maximal subdivision chains of a trace, one per leaf step.
 
-    def __len__(self):
-        return len(self.stacks)
-
-
-def stack_decomposition(trace: SubdivisionTrace) -> StackDecomposition:
-    """Maximal subdivision chains of a trace.
-
-    Each step's parent is the step that created the facet it subdivides
-    (none for facets of the base sphere).  A stack is a maximal root-to-leaf
-    chain in this forest; chains may share a prefix when a step's children
-    branch, but the tops of distinct stacks are disjoint facet sets.
+    Each step's parent is the step that made the facet it subdivides (none
+    for facets of the base sphere), read off one ``made_by`` dict; since
+    steps store their facets sorted, a step finds its parent however it was
+    written.  The leaves are the steps that no step names as a parent, in
+    step order, and each stack is the root-to-leaf chain ending at one.
+    Chains may share a prefix when a step's children branch, but the tops
+    of distinct stacks are disjoint facet sets.
     """
-    created_by: dict[tuple[int, ...], int] = {}
+    made_by: dict[tuple[int, ...], int] = {}
     parent: list[int | None] = []
-    created: list[tuple[tuple[int, ...], ...]] = []
-    for t, step in enumerate(trace.steps):
-        parent.append(created_by.get(step.facet))
-        made = _cone(step.facet, step.new_vertex)
-        created.append(made)
-        for f in made:
-            created_by[f] = t
-    has_child = [False] * len(trace.steps)
-    for p in parent:
-        if p is not None:
-            has_child[p] = True
+    for t, s in enumerate(trace.steps):
+        parent.append(made_by.get(s.facet))
+        made_by.update(dict.fromkeys(_cone(s.facet, s.new_vertex), t))
     stacks = []
-    for leaf in range(len(trace.steps)):
-        if has_child[leaf]:
-            continue
-        chain = []
-        t: int | None = leaf
-        while t is not None:
-            chain.append(t)
-            t = parent[t]
-        chain.reverse()
-        stacks.append(
-            Stack(tuple(chain), created[leaf], trace.steps[leaf].new_vertex)
-        )
-    return StackDecomposition(tuple(stacks))
+    for leaf in sorted(set(range(len(parent))) - set(parent)):
+        path = [leaf]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        s = trace.steps[leaf]
+        stacks.append(Stack(tuple(reversed(path)), _cone(s.facet, s.new_vertex), s.new_vertex))
+    return tuple(stacks)
 
 
 def random_stacked_sphere(n: int, num_subdivisions: int, seed: int) -> tuple[Complex, SubdivisionTrace]:

@@ -368,6 +368,12 @@ def test_every_export_has_a_caller():
     assert missing == []
 
 
+def test_readme_python_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_cli_parse_error_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.fl"
     bad.write_text("1 2 x\n", encoding="utf-8")

@@ -307,7 +307,7 @@ def test_two_stack_reduction_round_trip():
     assert len(sb.stack_decomposition(trace)) == 2
     original_quotient = sb.handle_addition(sphere, pairing)
 
-    red_sphere, red_trace, red_pairing = sb.two_stack_reduction(sphere, trace, pairing)
+    red_sphere, red_trace, red_pairing = sb.two_stack_reduction(trace, pairing)
     assert len(sb.stack_decomposition(red_trace)) == 1
     assert red_trace.replay() == red_sphere
     for u, w in red_pairing.pairs:
@@ -322,7 +322,7 @@ def test_two_stack_reduction_round_trip():
 def test_two_stack_reduction_rejects_one_stack():
     sphere, trace = sb.build_delta(4, 9)
     with pytest.raises(NotTwoStacks):
-        sb.two_stack_reduction(sphere, trace, sb.standard_pairing(4, 9))
+        sb.two_stack_reduction(trace, sb.standard_pairing(4, 9))
 
 
 def test_two_stack_reduction_rejects_pairing_off_tops():
@@ -330,7 +330,93 @@ def test_two_stack_reduction_rejects_pairing_off_tops():
     # {1,2,3,13} is on a top but {6,7,8,9} is not a top facet of either stack
     bad = sb.Pairing(((1, 6), (2, 7), (3, 8), (13, 9)))
     with pytest.raises(PairingNotOnTops):
-        sb.two_stack_reduction(sphere, trace, bad)
+        sb.two_stack_reduction(trace, bad)
+
+
+def _two_stack_reduction_by_hand(sphere, trace, pairing):
+    """The reference reduction: undo the source stack's leaf on the facets
+    of ``sphere`` and subdivide the target facet by hand."""
+    stacks = sb.stack_decomposition(trace)
+    if len(stacks) != 2:
+        raise NotTwoStacks(f"trace has {len(stacks)} stacks, need exactly 2")
+    F1, F2 = pairing.source_facet, pairing.target_facet
+    owners = [[k for k, s in enumerate(stacks) if F in s.top_facets] for F in (F1, F2)]
+    if not owners[0] or not owners[1] or owners[0] == owners[1]:
+        raise PairingNotOnTops("pairing must identify one facet from the top of each stack")
+    undo = stacks[owners[0][0]]
+    leaf_index = undo.step_indices[-1]
+    restored, top_vertex = trace.steps[leaf_index].facet, trace.steps[leaf_index].new_vertex
+    u_star = next(v for v in restored if v not in F1)
+    reduced = (set(sphere.facets) - set(undo.top_facets) - {F2}) | {restored}
+    cone = {tuple(sorted(set(F2) - {v} | {top_vertex})) for v in F2}
+    new_sphere = sb.Complex(reduced | cone)
+    steps = tuple(s for t, s in enumerate(trace.steps) if t != leaf_index)
+    new_trace = SubdivisionTrace(trace.base, steps + (SubdivisionStep(F2, top_vertex),))
+    old_pair = next(p for p in pairing.pairs if p[0] == top_vertex)
+    new_pairing = sb.Pairing(
+        tuple((u_star, top_vertex) if p == old_pair else p for p in pairing.pairs)
+    )
+    for u, w in new_pairing.pairs:
+        d = sb.graph_distance(new_sphere, u, w)
+        if d < 3:
+            raise DistanceViolation(f"reduced pairing ({u}, {w}) at distance {d}")
+    return new_sphere, new_trace, new_pairing
+
+
+def _outcome(reduce):
+    try:
+        return reduce()
+    except SphereBundleError as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+def _random_two_stack_trace(n, lengths, rng):
+    """Two chains of subdivisions from two base facets, interleaved; each
+    step subdivides a random facet made by its chain's previous step."""
+    base = sb.boundary_of_simplex(n)
+    tips = rng.sample(base.facets, 2)
+    order = [0] * lengths[0] + [1] * lengths[1]
+    rng.shuffle(order)
+    steps = []
+    for v, k in enumerate(order, n + 2):
+        F = tips[k]
+        steps.append(SubdivisionStep(F, v))
+        tips[k] = tuple(sorted(set(F) - {rng.choice(F)} | {v}))
+    return SubdivisionTrace(base, tuple(steps))
+
+
+def _two_stack_cases():
+    """(trace, pairing) pairs: the schedule plus an extra subdivision of
+    {1..n}, paired as in ``_two_stack_instance``; and random two-stack
+    traces, paired between any top facet and any top facet of the other
+    stack or of its own, by a random bijection."""
+    for n in (3, 4, 5):
+        for i in range(2 * n, 2 * n + 3):
+            _, tr = sb.build_delta(n, i)
+            top = n + i + 1
+            trace = SubdivisionTrace(tr.base, tr.steps + (SubdivisionStep(tuple(range(1, n + 1)), top),))
+            pairs = tuple((k, i + 1 + k) for k in range(1, n)) + ((top, i + 1),)
+            yield trace, sb.Pairing(pairs)
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = 3 + seed % 3
+        trace = _random_two_stack_trace(n, (rng.randint(n, 3 * n), rng.randint(n, 3 * n)), rng)
+        stacks = sb.stack_decomposition(trace)
+        for a, b in ((0, 1), (1, 0), (0, 0)):
+            for F1 in stacks[a].top_facets:
+                for F2 in stacks[b].top_facets:
+                    yield trace, sb.Pairing(tuple(zip(F1, rng.sample(F2, n))))
+
+
+def test_two_stack_reduction_equals_the_hand_surgery():
+    sphere, trace, pairing = _two_stack_instance()
+    assert sb.two_stack_reduction(trace, pairing) == _two_stack_reduction_by_hand(sphere, trace, pairing)
+    outcomes = Counter()
+    for trace, pairing in _two_stack_cases():
+        got = _outcome(lambda: sb.two_stack_reduction(trace, pairing))
+        assert got == _outcome(lambda: _two_stack_reduction_by_hand(trace.replay(), trace, pairing))
+        outcomes[got[0] if isinstance(got[0], type) else "reduced"] += 1
+    assert outcomes["reduced"] >= 90 and outcomes[DistanceViolation] and outcomes[PairingNotOnTops]
 
 
 # -- orientation double cover ----------------------------------------------------------

@@ -113,9 +113,6 @@ def test_corrupted_replay_names_the_same_fault(n, num_subdivisions, seed, data):
     elif corrupt == "vertex":
         steps[t] = SubdivisionStep(steps[t].facet, data.draw(st.sampled_from(used)))
     else:
-        # a label that is not a positive int is named by the one build at the
-        # end, so only the last step carries one here
-        t = len(steps) - 1
         steps[t] = SubdivisionStep(steps[t].facet, data.draw(st.sampled_from((0, -3, True, 2.5))))
     broken = SubdivisionTrace(trace.base, tuple(steps))
     expected = _fault(lambda: _replay_by_complex(broken))
@@ -337,7 +334,7 @@ def test_single_chain_schedule_is_one_stack():
         _, trace = sb.build_delta(n, i)
         dec = sb.stack_decomposition(trace)
         assert len(dec) == 1
-        assert dec.stacks[0].top_vertex == n + i
+        assert dec[0].top_vertex == n + i
 
 
 def test_single_subdivision_is_one_stack():
@@ -345,8 +342,8 @@ def test_single_subdivision_is_one_stack():
     trace = SubdivisionTrace(base, (SubdivisionStep((2, 3, 4, 5), 6),))
     dec = sb.stack_decomposition(trace)
     assert len(dec) == 1
-    assert len(dec.stacks[0].top_facets) == 4
-    assert all(6 in f for f in dec.stacks[0].top_facets)
+    assert len(dec[0].top_facets) == 4
+    assert all(6 in f for f in dec[0].top_facets)
 
 
 def test_two_branches_are_two_stacks():
@@ -361,9 +358,27 @@ def test_two_branches_are_two_stacks():
     trace = SubdivisionTrace(base, steps)
     dec = sb.stack_decomposition(trace)
     assert len(dec) == 2
-    assert sorted(st.top_vertex for st in dec.stacks) == [8, 9]
-    tops = [set(map(frozenset, st.top_facets)) for st in dec.stacks]
+    assert sorted(st.top_vertex for st in dec) == [8, 9]
+    tops = [set(map(frozenset, st.top_facets)) for st in dec]
     assert not tops[0] & tops[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 25), st.integers(0, 10**6), st.randoms())
+def test_stacks_do_not_depend_on_the_facet_order(n, num_subdivisions, seed, rng):
+    _, trace = sb.random_stacked_sphere(n, num_subdivisions, seed)
+    steps = tuple(SubdivisionStep(tuple(rng.sample(s.facet, n)), s.new_vertex) for s in trace.steps)
+    shuffled = SubdivisionTrace(trace.base, steps)
+    assert sb.stack_decomposition(shuffled) == sb.stack_decomposition(trace)
+
+
+def test_a_facet_named_out_of_order_finds_its_parent():
+    base = sb.boundary_of_simplex(4)
+    trace = SubdivisionTrace(base, (SubdivisionStep((2, 3, 4, 5), 6), SubdivisionStep((6, 5, 4, 3), 7)))
+    assert trace.steps[1].facet == (3, 4, 5, 6)
+    assert trace.to_text().splitlines()[2] == "3 4 5 6 -> 7"
+    (stack,) = sb.stack_decomposition(trace)
+    assert stack.step_indices == (0, 1)
 
 
 def test_trace_serialization():
@@ -386,4 +401,4 @@ def test_branching_chains_share_root_step():
     trace = SubdivisionTrace(base, steps)
     dec = sb.stack_decomposition(trace)
     assert len(dec) == 2
-    assert all(st.step_indices[0] == 0 for st in dec.stacks)
+    assert all(st.step_indices[0] == 0 for st in dec)
